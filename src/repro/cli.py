@@ -48,8 +48,8 @@ chase/core/answer results across invocations, content-addressed) and
 ``--workers N`` (process-pool evaluation; ``REPRO_WORKERS`` sets the
 default).  For ``solve`` the per-item work is the partitioned pipeline:
 ``--shard`` chases independent source components as shards and
-``--workers``/``--core-algorithm partitioned`` minimize value
-components of the canonical solution on the pool.
+``--workers`` minimizes value components of the canonical solution on
+the pool.
 """
 
 from __future__ import annotations
@@ -269,7 +269,6 @@ def command_solve(args: argparse.Namespace) -> int:
                 source,
                 max_steps=args.max_steps,
                 engine=args.engine,
-                core_algorithm=args.core_algorithm,
                 cache=cache,
                 executor=executor,
                 shard=args.shard,
@@ -786,7 +785,6 @@ def command_explain_plan(args: argparse.Namespace) -> int:
                 source,
                 max_steps=args.max_steps,
                 engine=args.engine,
-                core_algorithm=args.core_algorithm,
                 cache=cache,
                 executor=executor,
                 shard=args.shard,
@@ -887,11 +885,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", choices=("standard", "seminaive"), default="standard"
     )
     solve.add_argument(
-        "--core-algorithm",
-        choices=("blockwise", "folding", "partitioned"),
-        default="blockwise",
-    )
-    solve.add_argument(
         "--shard",
         choices=("auto", "on", "off"),
         default="auto",
@@ -908,9 +901,8 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "resume from a repro.obs/prov/v1 ledger a previous "
             "solve --provenance of this source wrote, instead of "
-            "chasing from scratch (--engine/--core-algorithm/--shard "
-            "are ignored: the incremental path is semi-naive + "
-            "blockwise)"
+            "chasing from scratch (--engine/--shard are ignored: "
+            "the incremental path is semi-naive)"
         ),
     )
     solve.add_argument(
@@ -1041,11 +1033,6 @@ def build_parser() -> argparse.ArgumentParser:
     explain_plan.add_argument("--max-steps", type=int, default=200_000)
     explain_plan.add_argument(
         "--engine", choices=("standard", "seminaive"), default="standard"
-    )
-    explain_plan.add_argument(
-        "--core-algorithm",
-        choices=("blockwise", "folding", "partitioned"),
-        default="blockwise",
     )
     explain_plan.add_argument(
         "--shard",

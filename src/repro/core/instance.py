@@ -298,8 +298,8 @@ class Instance:
         null); a component is a maximal connected group of atoms.  No
         homomorphism or dependency with a component-local premise can
         relate atoms of different components, which is what the
-        partitioned chase (:mod:`repro.chase.sharding`) and the
-        partitioned core (:mod:`repro.homomorphism.parallel`) exploit.
+        partitioned chase (:mod:`repro.chase.sharding`) and the pooled
+        core (:mod:`repro.homomorphism.blocks`) exploit.
         Nullary atoms share no values and each form their own component.
         Components are sorted by their least atom.
         """

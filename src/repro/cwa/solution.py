@@ -24,7 +24,7 @@ from ..chase.oblivious import fire_all_source_justifications
 from ..chase.result import ChaseStatus
 from ..chase.standard import DEFAULT_MAX_STEPS, standard_chase
 from ..exchange.setting import DataExchangeSetting
-from ..homomorphism.core_computation import core
+from ..homomorphism.blocks import blockwise_core
 from ..homomorphism.search import homomorphisms
 from .presolution import is_cwa_presolution
 
@@ -128,7 +128,7 @@ def core_solution(
     canonical = setting.canonical_universal_solution(source, max_steps=max_steps)
     if canonical is None:
         return None
-    return core(canonical)
+    return blockwise_core(canonical)
 
 
 def minimal_cwa_solution(

@@ -174,14 +174,12 @@ def solve_key(
     *,
     max_steps: int,
     engine: str,
-    core_algorithm: str,
 ) -> str:
     """Cache key for one :func:`repro.exchange.solve.solve` run.
 
     ``max_steps`` participates because it decides divergence verdicts;
-    ``engine``/``core_algorithm`` participate because different engines
-    produce different (hom-equivalent, but not identical) canonical
-    solutions.
+    ``engine`` participates because different engines produce different
+    (hom-equivalent, but not identical) canonical solutions.
     """
     return task_key(
         "solve",
@@ -189,7 +187,6 @@ def solve_key(
         fingerprint_instance(source),
         f"max_steps={max_steps}",
         f"engine={engine}",
-        f"core={core_algorithm}",
     )
 
 

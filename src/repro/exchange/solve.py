@@ -17,8 +17,6 @@ from ..chase.seminaive import seminaive_chase
 from ..chase.sharding import sharded_chase
 from ..chase.standard import DEFAULT_MAX_STEPS, standard_chase
 from ..homomorphism.blocks import blockwise_core
-from ..homomorphism.core_computation import core
-from ..homomorphism.parallel import partitioned_core
 from ..io import instance_from_payload, instance_to_payload
 from ..obs import counter, gauge, span
 from .setting import DataExchangeSetting
@@ -26,12 +24,6 @@ from .setting import DataExchangeSetting
 CHASE_ENGINES = {
     "standard": standard_chase,
     "seminaive": seminaive_chase,
-}
-
-CORE_ALGORITHMS = {
-    "blockwise": blockwise_core,
-    "folding": core,
-    "partitioned": partitioned_core,
 }
 
 #: ``shard`` argument values accepted by :func:`solve`.
@@ -90,7 +82,6 @@ def solve(
     max_steps: int = DEFAULT_MAX_STEPS,
     compute_core: bool = True,
     engine: str = "standard",
-    core_algorithm: str = "blockwise",
     cache=None,
     executor=None,
     shard: str = "auto",
@@ -106,24 +97,23 @@ def solve(
 
     ``engine`` selects the trigger-discovery strategy ("standard" =
     batched rescans, "seminaive" = delta-driven); both produce
-    hom-equivalent canonical solutions and identical cores.
-    ``core_algorithm`` is "blockwise" (Gaifman-block folding with exact
-    fallback) or "folding" (global endomorphism folding).
+    hom-equivalent canonical solutions and identical cores.  The core
+    is :func:`repro.homomorphism.blocks.blockwise_core`.
 
     ``cache``: a :class:`repro.engine.ResultCache`; hits skip the chase
     and core computation entirely.  The key covers the setting, the
-    source (up to isomorphism), ``max_steps``, ``engine``, and
-    ``core_algorithm``; chase *failures* are cached (they are definitive
-    verdicts), divergence is not (a larger budget might succeed).
+    source (up to isomorphism), ``max_steps`` and ``engine``; chase
+    *failures* are cached (they are definitive verdicts), divergence is
+    not (a larger budget might succeed).
 
-    ``executor``: a :class:`repro.engine.Executor` (or None) used by the
-    partitioned paths.  ``shard`` controls the partitioned chase:
-    ``"on"`` shards whenever the static analysis allows, ``"off"``
-    never, and ``"auto"`` (the default) shards exactly when a parallel
-    executor is supplied.  A sharded run upgrades the default
-    ``"blockwise"`` core to ``"partitioned"`` -- both paths produce
-    results with the same fp/v1 canonical fingerprints as a serial run,
-    so cache entries are shared across modes.
+    ``executor``: a :class:`repro.engine.Executor` (or None).  A
+    parallel one minimizes value components of the canonical solution
+    on its pool.  ``shard`` controls the partitioned chase: ``"on"``
+    shards whenever the static analysis allows, ``"off"`` never, and
+    ``"auto"`` (the default) shards exactly when a parallel executor is
+    supplied.  Every mode produces results with the same fp/v1
+    canonical fingerprints as a serial run, so cache entries are shared
+    across modes.
     """
     setting.validate_source(source)
     try:
@@ -133,11 +123,6 @@ def solve(
             f"unknown chase engine {engine!r}; pick one of "
             f"{sorted(CHASE_ENGINES)}"
         ) from None
-    if core_algorithm not in CORE_ALGORITHMS:
-        raise ReproError(
-            f"unknown core algorithm {core_algorithm!r}; pick one of "
-            f"{sorted(CORE_ALGORITHMS)}"
-        )
     if shard not in SHARD_MODES:
         raise ReproError(
             f"unknown shard mode {shard!r}; pick one of {SHARD_MODES}"
@@ -145,13 +130,6 @@ def solve(
     use_shard = shard == "on" or (
         shard == "auto" and executor is not None and executor.parallel
     )
-    if core_algorithm == "partitioned" or (
-        use_shard and core_algorithm == "blockwise"
-    ):
-        def core_of(target):
-            return partitioned_core(target, executor)
-    else:
-        core_of = CORE_ALGORITHMS[core_algorithm]
     key = None
     if cache is not None:
         from ..engine.fingerprint import solve_key  # lazy: engine is optional
@@ -161,7 +139,6 @@ def solve(
             source,
             max_steps=max_steps,
             engine=engine,
-            core_algorithm=core_algorithm,
         )
         hit = cache.get("solve", key)
         if hit is not None:
@@ -173,8 +150,8 @@ def solve(
                     # Cached by a compute_core=False caller: finish the
                     # job from the cached canonical and upgrade the entry.
                     with span("solve.core_from_cache"):
-                        result.core_solution = core_of(
-                            result.canonical_solution
+                        result.core_solution = blockwise_core(
+                            result.canonical_solution, executor
                         )
                     cache.put("solve", key, _result_to_payload(result))
                 counter("solve.cache_hits").inc()
@@ -199,7 +176,9 @@ def solve(
         else:
             canonical = outcome.instance.reduct(setting.target_schema)
             gauge("instance.nulls").set(len(canonical.nulls()))
-            core_instance = core_of(canonical) if compute_core else None
+            core_instance = (
+                blockwise_core(canonical, executor) if compute_core else None
+            )
             result = ExchangeResult(
                 setting, source, canonical, core_instance, outcome.steps
             )

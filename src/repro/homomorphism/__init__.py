@@ -1,8 +1,13 @@
 """Homomorphisms, endomorphisms, retracts, and cores."""
 
-from .blocks import block_atoms, block_statistics, blockwise_core, null_blocks
-from .core_computation import core, fold_step, is_core, retracts_to
-from .parallel import partitioned_core
+from .blocks import (
+    block_statistics,
+    blockwise_core,
+    is_core,
+    null_blocks,
+    retracts_to,
+)
+from .core_computation import core, fold_step
 from .search import (
     Homomorphism,
     apply_homomorphism,
@@ -18,7 +23,6 @@ from .search import (
 __all__ = [
     "Homomorphism",
     "apply_homomorphism",
-    "block_atoms",
     "block_statistics",
     "blockwise_core",
     "core",
@@ -32,6 +36,5 @@ __all__ = [
     "is_core",
     "is_homomorphism",
     "is_retract_of",
-    "partitioned_core",
     "retracts_to",
 ]

@@ -1,44 +1,74 @@
-"""Blockwise core computation (the Fagin-Kolaitis-Popa "blocks" idea).
+"""The core, computed block by block in place.
 
 The *Gaifman blocks* of an instance are the connected components of its
-nulls under co-occurrence in an atom.  Every null-carrying atom belongs
-to exactly one block, and any endomorphism decomposes blockwise: fixing
-all values outside one block's nulls still yields an endomorphism,
-because no atom mixes nulls of two blocks.  Hence
+nulls under co-occurrence in an atom.  Every atom that carries a null
+has all its nulls in one block and is *owned* by that block; ground
+atoms are owned by none and never drop (homomorphisms fix constants).
+A *block fold* maps one block's nulls, and nothing else, so that the
+block's owned atoms land in the instance minus one of them.
 
-* an instance is a core iff no single block can be folded, and
-* the core can be computed by minimizing each block against the full
-  instance independently.
+:func:`blockwise_core` copies its input once, indexes every block's
+owned atoms in one pass, and folds each block in place, in block order,
+until it no longer folds: drop one owned atom, search for the block's
+pattern in the live instance (:func:`~repro.logic.matching.first_match`),
+put the atom back, and on a match discard the owned atoms outside the
+image.  For canonical solutions of weakly acyclic settings the blocks
+are small, which is what makes the core polynomial (Prop. 6.6; FKP,
+"getting to the core").  The result is exactly the core, with no
+closing global check:
 
-For canonical solutions of s-t exchanges the blocks are tiny (bounded
-by the number of existential variables per tgd), which is what makes
-core computation polynomial there [FKP, "getting to the core"]; target
-tgds and egds can grow or merge blocks (the complication Gottlob-Nash
-address), so after the blockwise pass we verify with a global fold step
-and fall back to global folding in the (rare) cases where the
-block structure changed mid-flight.  The result is always exactly the
-core; the block pass is a speedup, never an approximation.
+* If h is a proper endomorphism, then h restricted to some single block
+  (identity elsewhere) is also proper: were every restriction onto,
+  every block's owned atoms would lie in their own image and h would be
+  onto.  So an instance is a core iff no block folds.
+* A block fold removes only atoms owned by that block -- its images are
+  already present -- so no other block's owned set changes and the
+  instance only shrinks.  A block that stops folding at its turn never
+  folds later, and one pass in block order reaches a fixpoint.
+
+The folding :func:`~repro.homomorphism.core_computation.core` is the
+test oracle.  Two variations ride on the same pass.
+
+**Pool.**  With a parallel ``executor``, the value components go to the
+pool when every component carries a constant.  A homomorphism maps each
+component into a single component, and a constant pins that image to
+the component itself, so the core is the union of the components'
+cores.  An all-null component could fold into any other, so then the
+pass runs in-process; so it does while a provenance ledger records
+(retractions cannot cross the process boundary).
+
+**Skip hint.**  ``clean`` holds owned-atom sets an earlier pass found
+unfoldable at their turn; blocks owning exactly such a set are skipped,
+and on return ``clean`` holds the owned sets of this pass's unfoldable
+blocks.  The caller drops every set that a newly added atom could be a
+fold image of (:class:`~repro.incremental.DeltaSession`).  A fold of a
+kept set at its new turn, composed with the folds the recording pass
+made before that set's turn, is a fold at its recorded turn -- unless
+one of those folds mapped a null into another block.  So a *crossing*
+fold empties the hint, and a pass that skipped blocks and saw one
+reruns with no skips (``incremental.core_fallbacks``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Set
+import time
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..core.atoms import Atom
 from ..core.instance import Instance
-from ..core.terms import Null, Value
-from ..obs import span
+from ..core.terms import Null, Value, Variable
+from ..logic.matching import attributed, first_match
+from ..obs import attribution, counter, span
 from ..obs.provenance import active_ledger
 from .core_computation import _FOLDS, _RETRACTS
-from .core_computation import core as global_core
-from .core_computation import fold_step
+
+_SKIPPED = counter("incremental.blocks_skipped")
+_REMINIMIZED = counter("incremental.blocks_reminimized")
+_CORE_FALLBACKS = counter("incremental.core_fallbacks")
 
 
-def null_blocks(instance: Instance) -> List[FrozenSet[Null]]:
-    """Connected components of nulls under atom co-occurrence.
-
-    Deterministic order (by smallest null identifier per block).
-    """
+def _blocks(instance: Instance) -> List[List[Atom]]:
+    """Every block's sorted owned atoms, ordered by the block's least null."""
     parent: Dict[Null, Null] = {}
 
     def find(item: Null) -> Null:
@@ -49,36 +79,35 @@ def null_blocks(instance: Instance) -> List[FrozenSet[Null]]:
             parent[item], item = root, parent[item]
         return root
 
-    def union(left: Null, right: Null) -> None:
-        left_root, right_root = find(left), find(right)
-        if left_root != right_root:
-            if right_root < left_root:
-                left_root, right_root = right_root, left_root
-            parent[right_root] = left_root
-
-    for null in instance.nulls():
-        parent[null] = null
     for atom in instance:
         nulls = [value for value in atom.args if isinstance(value, Null)]
+        for item in nulls:
+            parent.setdefault(item, item)
         for other in nulls[1:]:
-            union(nulls[0], other)
+            left, right = find(nulls[0]), find(other)
+            if left != right:
+                # The smaller root wins: a root is its block's least null.
+                if right < left:
+                    left, right = right, left
+                parent[right] = left
+    owned: Dict[Null, List[Atom]] = {}
+    for atom in instance:
+        for value in atom.args:
+            if isinstance(value, Null):
+                owned.setdefault(find(value), []).append(atom)
+                break
+    return [sorted(owned[root]) for root in sorted(owned)]
 
-    components: Dict[Null, Set[Null]] = {}
-    for null in parent:
-        components.setdefault(find(null), set()).add(null)
+
+def null_blocks(instance: Instance) -> List[FrozenSet[Null]]:
+    """Connected components of nulls under atom co-occurrence.
+
+    Deterministic order (by smallest null identifier per block).
+    """
     return [
-        frozenset(component)
-        for _, component in sorted(
-            components.items(), key=lambda pair: pair[0]
-        )
+        frozenset(item for atom in owned for item in atom.nulls)
+        for owned in _blocks(instance)
     ]
-
-
-def block_atoms(instance: Instance, block: FrozenSet[Null]) -> List[Atom]:
-    """The atoms owned by a block: those mentioning one of its nulls."""
-    return sorted(
-        atom for atom in instance if any(n in block for n in atom.nulls)
-    )
 
 
 def block_statistics(instance: Instance) -> Dict[str, float]:
@@ -94,218 +123,228 @@ def block_statistics(instance: Instance) -> Dict[str, float]:
     }
 
 
-#: Bounded memo of compiled block patterns keyed by the exact owned
-#: atom tuple and block -- the pattern is a pure function of both.  Core
-#: computation revisits unchanged blocks constantly (every verification
-#: pass, every repeated minimization of an already-minimal block), and
-#: this skips rebuilding the variable-lifted atoms each round.  Hits
-#: land in ``core.block_pattern_reuse``.
-_PATTERN_CACHE: "Dict[Tuple[Tuple[Atom, ...], FrozenSet[Null]], Tuple]" = {}
-_PATTERN_CACHE_LIMIT = 1024
+def _pattern(owned: List[Atom]) -> Tuple[Tuple[Atom, ...], Dict]:
+    """The owned atoms with the block's nulls as variables.
 
-
-def _block_pattern(
-    owned: List[Atom], block: FrozenSet[Null]
-) -> "Tuple[Tuple[Atom, ...], Dict]":
-    """The canonical pattern of a block's atoms, nulls-as-variables.
-
-    Nulls outside the block are frozen (treated as rigid values), so the
-    extension of any match by the identity is an endomorphism of the
-    whole instance.  Computed once per owned set and reused for every
-    dropped-atom attempt -- the attempts then share one compiled plan --
-    and memoized across invocations for unchanged blocks.
+    Every null of an owned atom belongs to the block; other values stay
+    rigid, so a match extended by the identity is an endomorphism.
     """
-    from ..core.terms import Variable
-    from ..obs import counter
-
-    key = (tuple(owned), block)
-    cached = _PATTERN_CACHE.get(key)
-    if cached is not None:
-        counter("core.block_pattern_reuse").inc()
-        return cached
-    to_variable = {null: Variable(f"_b{null.ident}") for null in block}
+    to_variable: Dict[Null, Variable] = {}
+    for atom in owned:
+        for value in atom.args:
+            if isinstance(value, Null) and value not in to_variable:
+                to_variable[value] = Variable(f"_b{value.ident}")
     pattern = tuple(
-        Atom(
-            atom.relation,
-            tuple(to_variable.get(value, value) for value in atom.args),
-        )
+        Atom(atom.relation, tuple(to_variable.get(v, v) for v in atom.args))
         for atom in owned
     )
-    back = {variable: null for null, variable in to_variable.items()}
-    if len(_PATTERN_CACHE) >= _PATTERN_CACHE_LIMIT:
-        _PATTERN_CACHE.pop(next(iter(_PATTERN_CACHE)))
-    _PATTERN_CACHE[key] = (pattern, back)
-    return pattern, back
+    return pattern, {variable: item for item, variable in to_variable.items()}
 
 
-def _minimize_block(
-    instance: Instance, block: FrozenSet[Null]
-) -> Optional[Instance]:
-    """Fold one block as far as it goes; None if nothing folded.
+def _find_fold(
+    current: Instance, owned: List[Atom]
+) -> Optional[Dict[Null, Value]]:
+    """A block fold of ``owned`` in ``current``, or None.
 
-    Searches for a block-local homomorphism of the block's atoms into
-    the full instance that drops at least one of them; applies the
-    induced endomorphism (identity outside the block) and repeats.
-
-    One working copy per *invocation* is mutated throughout (drop the
-    atom, search, put it back; apply folds in place) -- ``instance``
-    itself is never modified, and no per-round copies are taken.
+    Drops each owned atom in turn, searches, and puts it back, so
+    ``current`` ends as it began.
     """
-    from ..logic.matching import attributed, first_match
-
-    changed = False
-    working: Optional[Instance] = None
-    while block:
-        base = working if working is not None else instance
-        owned = block_atoms(base, block)
-        if not owned:
-            break
-        pattern, back = _block_pattern(owned, block)
-        if working is None:
-            working = instance.copy()
-        folded_once = False
-        for atom in owned:
-            working.discard(atom)
-            _RETRACTS.inc()
-            with attributed("hom"):
-                found = first_match(pattern, working)
-            working.add(atom)
-            if found is None:
-                continue
+    pattern, back = _pattern(owned)
+    for atom in owned:
+        current.discard(atom)
+        _RETRACTS.inc()
+        with attributed("hom"):
+            found = first_match(pattern, current)
+        current.add(atom)
+        if found is not None:
             _FOLDS.inc()
-            mapping = {
-                back[variable]: value for variable, value in found.items()
-            }
-            images = [item.rename_values(mapping) for item in owned]
-            for item in owned:
-                working.discard(item)
-            for item in images:
-                working.add(item)
-            ledger = active_ledger()
-            if ledger is not None:
-                ledger.record_retraction(
-                    "blockwise", set(owned) - set(images), mapping
-                )
-            # Nulls folded onto other blocks leave this block's care.
-            block = frozenset(
-                value
-                for value in (mapping.get(null, null) for null in block)
-                if isinstance(value, Null) and value in block
-            )
-            changed = True
-            folded_once = True
+            return {back[variable]: value for variable, value in found.items()}
+    return None
+
+
+def _fold_block(current: Instance, owned: List[Atom]) -> Tuple[bool, bool]:
+    """Fold one block in place until it stops; ``(folded, crossed)``."""
+    folded = crossed = False
+    while owned:
+        mapping = _find_fold(current, owned)
+        if mapping is None:
             break
-        if not folded_once:
-            break
-    return working if changed else None
+        # The mapping's keys are exactly the block's nulls.
+        crossed = crossed or any(
+            isinstance(value, Null) and value not in mapping
+            for value in mapping.values()
+        )
+        images = {atom.rename_values(mapping) for atom in owned}
+        dropped = [atom for atom in owned if atom not in images]
+        for atom in dropped:
+            current.discard(atom)
+        ledger = active_ledger()
+        if ledger is not None:
+            ledger.record_retraction("blockwise", dropped, mapping)
+        owned = [atom for atom in owned if atom in images]
+        folded = True
+    return folded, crossed
 
 
-def minimize_block_tracked(
-    instance: Instance, block: FrozenSet[Null], *, via: str = "incremental"
-):
-    """:func:`_minimize_block` with fold tracking for memoized replay.
+def _minimize(
+    current: Instance,
+    blocks: List[List[Atom]],
+    clean: Optional[Set[FrozenSet[Atom]]] = None,
+) -> Tuple[bool, bool]:
+    """Fold every block of ``current`` in place; ``(crossed, skipped)``.
 
-    Performs exactly the same fold search and applications (same
-    deterministic order, same first-match choices), but additionally
-    composes the applied folds into one total endomorphism of the
-    block's nulls and records the final images of the originally owned
-    atoms.  Returns ``(working, mapping, images, crossed)``:
-
-    * ``working`` -- the minimized instance, or None if nothing folded;
-    * ``mapping`` -- the composed ``{null: value}`` endomorphism over
-      the original block (identity entries included);
-    * ``images`` -- sorted tuple ``h(owned)``: replaying the fold on a
-      later instance is ``(I \\ owned) ∪ images``;
-    * ``crossed`` -- True when some fold mapped a null onto a null of
-      *another* block; the caller must then fall back to a full
-      :func:`blockwise_core` pass (the memoized per-block replay
-      argument assumes folds stay inside their block), and ``mapping``/
-      ``images`` are meaningless.
+    With ``clean``, skips the blocks it lists and refreshes it in place
+    (see the module docstring).
     """
-    from ..logic.matching import attributed, first_match
-
-    original_block = block
-    original_owned: Optional[List[Atom]] = None
-    total: Dict[Null, Value] = {}
-    changed = False
-    working: Optional[Instance] = None
-    while block:
-        base = working if working is not None else instance
-        owned = block_atoms(base, block)
-        if original_owned is None:
-            original_owned = owned
-        if not owned:
-            break
-        pattern, back = _block_pattern(owned, block)
-        if working is None:
-            working = instance.copy()
-        folded_once = False
-        for atom in owned:
-            working.discard(atom)
-            _RETRACTS.inc()
-            with attributed("hom"):
-                found = first_match(pattern, working)
-            working.add(atom)
-            if found is None:
+    crossed = skipped = False
+    unfoldable: List[FrozenSet[Atom]] = []
+    for owned in blocks:
+        if clean is not None:
+            key = frozenset(owned)
+            if key in clean:
+                _SKIPPED.inc()
+                unfoldable.append(key)
+                skipped = True
                 continue
-            _FOLDS.inc()
-            mapping = {
-                back[variable]: value for variable, value in found.items()
-            }
-            images = [item.rename_values(mapping) for item in owned]
-            for item in owned:
-                working.discard(item)
-            for item in images:
-                working.add(item)
-            ledger = active_ledger()
-            if ledger is not None:
-                ledger.record_retraction(
-                    via, set(owned) - set(images), mapping
-                )
-            if any(
-                isinstance(value, Null) and value not in original_block
-                for value in mapping.values()
-            ):
-                return working, {}, (), True
-            for null in original_block:
-                value = total.get(null, null)
-                total[null] = mapping.get(value, value)
-            block = frozenset(
-                value
-                for value in (mapping.get(null, null) for null in block)
-                if isinstance(value, Null) and value in block
+            _REMINIMIZED.inc()
+        folded, block_crossed = _fold_block(current, owned)
+        crossed = crossed or block_crossed
+        if clean is not None and not folded:
+            unfoldable.append(key)
+    if clean is not None:
+        clean.clear()
+        if not crossed:
+            clean.update(unfoldable)
+    return crossed, skipped
+
+
+def _minimize_components(
+    components: Tuple[Instance, ...]
+) -> Tuple[Instance, ...]:
+    """Worker task: minimize each value component of one group in place."""
+    for component in components:
+        started = time.perf_counter()
+        size = len(component)
+        blocks = _blocks(component)
+        counter("core.blocks_parallel").inc(len(blocks))
+        _minimize(component, blocks)
+        if attribution.enabled():
+            attribution.record_component(
+                "core.partition",
+                size=size,
+                steps=size - len(component),
+                seconds=time.perf_counter() - started,
             )
-            changed = True
-            folded_once = True
-            break
-        if not folded_once:
-            break
-    final_images = tuple(
-        sorted({item.rename_values(total) for item in (original_owned or ())})
-    )
-    return (working if changed else None), total, final_images, False
+    return components
 
 
-def blockwise_core(instance: Instance) -> Instance:
-    """The core of ``instance``, computed block-by-block.
+def _group_components(
+    components: List[Instance], groups: int
+) -> List[Tuple[Instance, ...]]:
+    """At most ``groups`` contiguous groups of roughly equal atom count.
 
-    Exact: after the blockwise pass a global fold step verifies the
-    result; if the pass left folds on the table (possible when a fold
-    rewired blocks), global folding finishes the job.
+    Contiguous assignment keeps the layout deterministic; balancing by
+    atom count (not component count) evens out skewed instances.
+    """
+    groups = max(1, min(groups, len(components)))
+    target = sum(len(component) for component in components) / groups
+    out: List[Tuple[Instance, ...]] = []
+    bucket: List[Instance] = []
+    weight = 0
+    for component in components:
+        bucket.append(component)
+        weight += len(component)
+        if weight >= target and len(out) < groups - 1:
+            out.append(tuple(bucket))
+            bucket, weight = [], 0
+    if bucket:
+        out.append(tuple(bucket))
+    return out
+
+
+def _core_on_pool(instance: Instance, executor) -> Optional[Instance]:
+    """The core from per-component minimization on the pool, or None
+    when the guard fails or there is nothing to spread."""
+    components = instance.components()
+    if not all(any(atom.constants for atom in c) for c in components):
+        return None
+    result, foldable = Instance(), []
+    for component in components:
+        if component.nulls():
+            foldable.append(component)
+        else:
+            result.add_all(component)
+    if len(foldable) < 2:
+        return None
+    groups = _group_components(foldable, executor.workers * 2)
+    for group in executor.map_tasks(
+        _minimize_components,
+        [(group,) for group in groups],
+        label="core.partition",
+    ):
+        for component in group:
+            result.add_all(component)
+    return result
+
+
+def blockwise_core(
+    instance: Instance,
+    executor=None,
+    *,
+    clean: Optional[Set[FrozenSet[Atom]]] = None,
+) -> Instance:
+    """The core of ``instance`` (exact; see the module docstring).
+
+    ``executor`` is a :class:`repro.engine.Executor` or None; ``clean``
+    is the incremental skip hint, refreshed in place.  ``instance``
+    itself is never modified.
     """
     with span("core.blockwise"):
+        if (
+            clean is None
+            and executor is not None
+            and executor.parallel
+            and active_ledger() is None
+        ):
+            pooled = _core_on_pool(instance, executor)
+            if pooled is not None:
+                return pooled
         current = instance.copy()
-        for block in null_blocks(current):
-            live = frozenset(block & current.nulls())
-            if not live:
-                continue
-            minimized = _minimize_block(current, live)
-            if minimized is not None:
-                current = minimized
+        crossed, skipped = _minimize(current, _blocks(current), clean)
+        if crossed and skipped:
+            _CORE_FALLBACKS.inc()
+            return blockwise_core(instance, clean=clean)
+        return current
 
-        # Verification / completion: the blockwise pass is usually already
-        # a core; fall back to global folding otherwise.
-        remainder = fold_step(current)
-        if remainder is None:
-            return current
-        return global_core(remainder)
+
+def _maps_into(source: Instance, target: Instance) -> bool:
+    """True iff a homomorphism ``source → target`` exists.
+
+    Searched block by block: the blocks share no nulls, so independent
+    per-block matches combine into one homomorphism.
+    """
+    return all(atom in target for atom in source if not atom.nulls) and all(
+        first_match(_pattern(owned)[0], target) is not None
+        for owned in _blocks(source)
+    )
+
+
+def is_core(instance: Instance) -> bool:
+    """True iff the instance equals its own core: no block folds."""
+    working = instance.copy()
+    return all(
+        _find_fold(working, owned) is None for owned in _blocks(working)
+    )
+
+
+def retracts_to(instance: Instance, candidate: Instance) -> bool:
+    """True iff ``candidate`` is the (unique) core of ``instance``.
+
+    Requires candidate ⊆ instance, a homomorphism instance → candidate,
+    and candidate being a core itself.
+    """
+    return (
+        candidate.issubset(instance)
+        and _maps_into(instance, candidate)
+        and is_core(candidate)
+    )

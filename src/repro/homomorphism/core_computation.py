@@ -17,11 +17,10 @@ its own core:
 * constants are fixed by homomorphisms, so atoms containing only
   constants can never be dropped -- the search skips them.
 
-This is simple and exact; it is worst-case exponential (homomorphism
-checks are NP-hard in general), unlike the polynomial Gottlob-Nash
-algorithm the paper cites [8], but on chase results with the indexed
-matcher it is fast at every scale our benchmarks use (see DESIGN.md,
-"Deviations").
+This is simple and exact, but every search matches a pattern of the
+whole instance, so it serves only as the test oracle; the program
+computes the core block by block
+(:func:`repro.homomorphism.blocks.blockwise_core`).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from ..core.atoms import Atom
 from ..core.instance import Instance
 from ..obs import counter, span
 from ..obs.provenance import active_ledger
-from .search import canonical_pattern, has_homomorphism, homomorphism_via_pattern
+from .search import canonical_pattern, homomorphism_via_pattern
 
 # Prefetched handles (counters survive ``repro.obs.reset``): fold_step
 # runs once per retained atom per fold round, so per-call registry
@@ -96,24 +95,3 @@ def core(instance: Instance) -> Instance:
             if folded is None:
                 return current
             current = folded
-
-
-def is_core(instance: Instance) -> bool:
-    """True iff the instance equals its own core.
-
-    Checked directly: no null-containing atom can be folded away.
-    """
-    return fold_step(instance) is None
-
-
-def retracts_to(instance: Instance, candidate: Instance) -> bool:
-    """True iff ``candidate`` is the (unique) core of ``instance``.
-
-    Requires candidate ⊆ instance, a homomorphism instance → candidate,
-    and candidate being a core itself.
-    """
-    return (
-        candidate.issubset(instance)
-        and has_homomorphism(instance, candidate)
-        and is_core(candidate)
-    )

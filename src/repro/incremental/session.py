@@ -6,8 +6,9 @@ three artifacts alive between edits:
 * the **chase state** (source ∪ derived target facts),
 * the **provenance ledger** -- a fact-level derivation DAG recording,
   for every fact, which firing produced it from which parents, and
-* the **block memo** -- per-Gaifman-block core minimization outcomes
-  (:mod:`repro.incremental.core`).
+* the **clean blocks** -- the owned-atom sets of the Gaifman blocks the
+  last core pass found unfoldable (the skip hint of
+  :func:`~repro.homomorphism.blocks.blockwise_core`).
 
 :meth:`apply` then maintains the CWA-solution under a
 :class:`~repro.incremental.delta.SourceDelta` without re-chasing:
@@ -20,7 +21,7 @@ three artifacts alive between edits:
 * **Insertions** seed the semi-naive engine's per-tgd delta joins with
   just the inserted atoms (plus the re-derivation frontier), so trigger
   discovery only inspects matches that can involve the edit.
-* The **core** is re-minimized blockwise, skipping or replaying blocks
+* The **core** is re-minimized blockwise, skipping the clean blocks
   the edit provably could not have touched.
 
 The continuation chase is a valid (semi-naive standard) chase of the new
@@ -50,19 +51,28 @@ deletions.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import (
+    FrozenSet,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from ..chase.result import ChaseOutcome, ChaseStatus
 from ..chase.seminaive import DEFAULT_MAX_STEPS, seminaive_chase
 from ..core.atoms import Atom
 from ..core.errors import ChaseDivergence, ReproError
 from ..core.instance import Instance
-from ..core.terms import NullFactory
+from ..core.terms import Null, NullFactory
 from ..exchange.setting import DataExchangeSetting
 from ..exchange.solve import ExchangeResult, _result_to_payload
+from ..homomorphism.blocks import blockwise_core
 from ..obs import counter, span
 from ..obs.provenance import ProvenanceLedger, recording
-from .core import BlockMemo, incremental_core
 from .delta import SourceDelta
 
 
@@ -103,7 +113,7 @@ class DeltaSession:
         self._analyze()
         setting.validate_source(source)
         self.source = source.copy()
-        self._memo = BlockMemo()
+        self._clean: Set[FrozenSet[Atom]] = set()
         self._factory = NullFactory.above(source.active_domain())
         self._solve_initial()
 
@@ -193,7 +203,7 @@ class DeltaSession:
         session._analyze()
         setting.validate_source(source)
         session.source = source.copy()
-        session._memo = BlockMemo()
+        session._clean = set()
 
         chase = Instance(target.chase_facts())
         if chase.reduct(setting.source_schema) != source:
@@ -225,9 +235,7 @@ class DeltaSession:
         session._chase = outcome.instance
         canonical = chase.reduct(setting.target_schema)
         session._canonical_atoms = frozenset(canonical)
-        core_instance, _ = incremental_core(
-            canonical, tuple(canonical), session._memo
-        )
+        core_instance = blockwise_core(canonical, clean=session._clean)
         session.result = ExchangeResult(
             setting, session.source.copy(), canonical, core_instance, 0
         )
@@ -297,10 +305,10 @@ class DeltaSession:
         return False
 
     def _full_resolve(self, new_source: Instance) -> ExchangeResult:
-        """From-scratch re-solve; resets ledger, memo, and null factory."""
+        """From-scratch re-solve; resets ledger, hint, and null factory."""
         with span("incremental.full_resolve"):
             self.ledger.clear()
-            self._memo.clear()
+            self._clean.clear()
             self.source = new_source
             self._factory = NullFactory.above(new_source.active_domain())
             return self._solve_initial()
@@ -347,7 +355,7 @@ class DeltaSession:
         if outcome.status is ChaseStatus.FAILURE:
             self._failed = True
             self._canonical_atoms = frozenset()
-            self._memo.clear()
+            self._clean.clear()
             self.result = ExchangeResult(
                 self.setting, self.source.copy(), None, None, outcome.steps
             )
@@ -356,16 +364,11 @@ class DeltaSession:
             canonical = self._chase.reduct(self.setting.target_schema)
             new_atoms = frozenset(canonical)
             if changed is None:
-                self._memo.clear()
-                changed_atoms: Tuple[Atom, ...] = tuple(new_atoms)
+                self._clean.clear()
             else:
-                changed_atoms = tuple(
-                    new_atoms.symmetric_difference(self._canonical_atoms)
-                )
+                self._drop_touched(new_atoms - self._canonical_atoms)
             with recording(self.ledger):
-                core_instance, _ = incremental_core(
-                    canonical, changed_atoms, self._memo
-                )
+                core_instance = blockwise_core(canonical, clean=self._clean)
             self._canonical_atoms = new_atoms
             self.result = ExchangeResult(
                 self.setting,
@@ -387,6 +390,34 @@ class DeltaSession:
             self.source,
             max_steps=self.max_steps,
             engine="seminaive",
-            core_algorithm="blockwise",
         )
         self.cache.put("solve", key, _result_to_payload(self.result))
+
+    def _drop_touched(self, added: Iterable[Atom]) -> None:
+        """Forget the clean blocks an added atom could be a fold image of.
+
+        A block fold maps only the block's nulls, so an image of an owned
+        atom shares its relation and its constant positions.  Sharing a
+        value is not required: a new atom matching the constant skeleton
+        can enable a fold without sharing a null with the block.
+        """
+        by_relation = {}
+        for atom in added:
+            by_relation.setdefault(atom.relation, []).append(atom)
+        self._clean = {
+            owned
+            for owned in self._clean
+            if not any(
+                _may_image(candidate, atom)
+                for atom in owned
+                for candidate in by_relation.get(atom.relation, ())
+            )
+        }
+
+
+def _may_image(candidate: Atom, owned: Atom) -> bool:
+    """Does ``candidate`` agree with ``owned`` at every constant position?"""
+    return all(
+        isinstance(owned_arg, Null) or candidate_arg == owned_arg
+        for candidate_arg, owned_arg in zip(candidate.args, owned.args)
+    )

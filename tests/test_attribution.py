@@ -303,6 +303,9 @@ class TestParallelParity:
             kind: len(rows)
             for kind, rows in attribution.components().items()
         }
+        # Core component rows come only from the pool; the serial core
+        # runs one in-place pass over the whole instance.
+        assert parallel_components.pop("core.partition") == 3
         assert parallel_components == serial_components
         assert serial_components["chase.shard"] == 3
 

@@ -1,14 +1,15 @@
-"""Tests for Gaifman blocks and blockwise core computation."""
+"""Tests for Gaifman blocks and the blockwise core."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Atom, Const, Instance, Null, RelationSymbol, isomorphic
-from repro.homomorphism import core
+from repro.generators import random_source_for, random_weakly_acyclic_setting
+from repro.homomorphism import core, fold_step, is_core
 from repro.homomorphism.blocks import (
-    _minimize_block,
-    block_atoms,
+    _blocks,
+    _find_fold,
     block_statistics,
     blockwise_core,
     null_blocks,
@@ -35,11 +36,12 @@ class TestBlocks:
         assert null_blocks(parse_instance("E('a','b')")) == []
 
     def test_block_atoms(self):
+        # The ground atom is owned by no block.
         inst = parse_instance("E(#1, #2), E('a', 'b'), E('a', #3)")
-        blocks = null_blocks(inst)
-        first = next(b for b in blocks if Null(1) in b)
-        owned = block_atoms(inst, first)
-        assert len(owned) == 1
+        assert _blocks(inst) == [
+            [Atom(E, (Null(1), Null(2)))],
+            [Atom(E, (Const("a"), Null(3)))],
+        ]
 
     def test_statistics(self):
         inst = parse_instance("E(#1, #2), E('a', #3)")
@@ -75,37 +77,50 @@ class TestBlockwiseCore:
         inst = parse_instance(
             "E('a', #1), E(#1, #2), E('a', 'b'), E('b', 'c'), E('q', #3)"
         )
-        from repro.homomorphism import is_core
-
         assert is_core(blockwise_core(inst))
+        assert not is_core(inst)
+
+    def test_crossing_fold_empties_the_hint_and_reruns(self):
+        import repro.obs as obs
+
+        obs.reset()
+        # #1's block folds onto #2's: a crossing fold, in a pass that
+        # skipped #3's block, so the pass reruns with no skips.
+        inst = parse_instance("E('a', #1), E('a', #2), E('c', #3)")
+        clean = {frozenset({Atom(E, (Const("c"), Null(3)))})}
+        assert len(blockwise_core(inst, clean=clean)) == 2
+        assert obs.counter("incremental.core_fallbacks").value == 1
+        assert obs.counter("incremental.blocks_skipped").value == 1
+        assert clean == set()
+        obs.reset()
+
+    def test_hint_records_unfoldable_blocks_and_skips_them(self):
+        import repro.obs as obs
+
+        obs.reset()
+        inst = parse_instance("E('a', #1), E('b', #2), E('b', 'c')")
+        clean = set()
+        assert blockwise_core(inst, clean=clean) == parse_instance(
+            "E('a', #1), E('b', 'c')"
+        )
+        assert clean == {frozenset({Atom(E, (Const("a"), Null(1)))})}
+        blockwise_core(inst, clean=clean)
+        assert obs.counter("incremental.blocks_skipped").value == 1
+        obs.reset()
 
 
 class TestMinimizeBlock:
     def test_input_instance_is_never_mutated(self):
         inst = parse_instance("E('a', #1), E('a', 'b')")
         snapshot = set(inst.sorted_atoms())
-        block = frozenset({Null(1)})
-        folded = _minimize_block(inst, block)
-        assert folded is not None
+        assert blockwise_core(inst) == parse_instance("E('a', 'b')")
+        assert not is_core(inst)
         assert set(inst.sorted_atoms()) == snapshot
 
     def test_returns_none_when_block_is_minimal(self):
         inst = parse_instance("E('a', #1)")
-        assert _minimize_block(inst, frozenset({Null(1)})) is None
-
-    def test_pattern_cache_reuse_is_counted(self):
-        import repro.obs as obs
-
-        obs.reset()
-        # Distinctive constants guarantee a cache key no earlier test
-        # populated; the second pass over the unchanged block must hit.
-        inst = parse_instance("E('reuse_probe', #1), E(#1, 'reuse_probe')")
-        block = frozenset({Null(1)})
-        _minimize_block(inst, block)
-        before = obs.counter("core.block_pattern_reuse").value
-        _minimize_block(inst, block)
-        assert obs.counter("core.block_pattern_reuse").value > before
-        obs.reset()
+        assert _find_fold(inst, _blocks(inst)[0]) is None
+        assert inst == parse_instance("E('a', #1)")
 
 
 def small_instances():
@@ -119,7 +134,21 @@ def small_instances():
     ).map(Instance)
 
 
-@given(small_instances())
-@settings(max_examples=60, deadline=None)
+def random_canonicals():
+    """Canonical solutions of random weakly acyclic settings (or empty)."""
+
+    def build(seed):
+        setting = random_weakly_acyclic_setting(seed)
+        source = random_source_for(setting, seed=seed + 200)
+        canonical = setting.canonical_universal_solution(source)
+        return canonical if canonical is not None else Instance()
+
+    return st.integers(min_value=0, max_value=10_000).map(build)
+
+
+@given(st.one_of(small_instances(), random_canonicals()))
+@settings(max_examples=80, deadline=None)
 def test_blockwise_core_equals_global_core(inst):
-    assert isomorphic(blockwise_core(inst), core(inst))
+    result = blockwise_core(inst)
+    assert isomorphic(result, core(inst))
+    assert fold_step(result) is None

@@ -42,8 +42,7 @@ setting = example_2_1_setting()
 source = example_2_1_source()
 print(fingerprint_setting(setting))
 print(fingerprint_instance(source))
-print(solve_key(setting, source, max_steps=1000, engine="standard",
-                core_algorithm="blockwise"))
+print(solve_key(setting, source, max_steps=1000, engine="standard"))
 """
 
 
@@ -152,17 +151,12 @@ class TestQueryAndKeyFingerprints:
     def test_solve_key_sensitive_to_options(self):
         setting = example_2_1_setting()
         source = example_2_1_source()
-        base = solve_key(
-            setting, source, max_steps=100, engine="standard",
-            core_algorithm="blockwise",
+        base = solve_key(setting, source, max_steps=100, engine="standard")
+        assert base != solve_key(
+            setting, source, max_steps=200, engine="standard"
         )
         assert base != solve_key(
-            setting, source, max_steps=200, engine="standard",
-            core_algorithm="blockwise",
-        )
-        assert base != solve_key(
-            setting, source, max_steps=100, engine="seminaive",
-            core_algorithm="blockwise",
+            setting, source, max_steps=100, engine="seminaive"
         )
 
     def test_answer_key_sensitive_to_semantics_and_space(self):

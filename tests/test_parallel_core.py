@@ -1,4 +1,4 @@
-"""Tests for partitioned (per-component, block-parallel) core computation."""
+"""Tests for the pooled core: value components minimized on the Executor."""
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +8,7 @@ import repro.obs as obs
 from repro.chase import standard_chase
 from repro.core import Atom, Const, Instance, Null, RelationSymbol, isomorphic
 from repro.engine import Executor, fingerprint_instance
-from repro.homomorphism import blockwise_core, core, is_core, partitioned_core
+from repro.homomorphism import blockwise_core, core, is_core
 from repro.generators import disjoint_scaled_sources, example_2_1_setting
 
 E = RelationSymbol("E", 2)
@@ -33,22 +33,26 @@ def _canonical_solution(copies=3, pairs=8, seed=11):
     return outcome.instance.reduct(setting.target_schema)
 
 
+def _pooled(instance):
+    with Executor(workers=2) as executor:
+        return blockwise_core(instance, executor)
+
+
 class TestPartitionedCore:
     def test_matches_blockwise_on_multi_component(self):
         canonical = _canonical_solution()
         assert len(canonical.components()) > 1
-        assert _fp(partitioned_core(canonical)) == _fp(blockwise_core(canonical))
+        assert _fp(_pooled(canonical)) == _fp(blockwise_core(canonical))
 
     def test_result_is_core(self):
         canonical = _canonical_solution(copies=2, pairs=6, seed=3)
-        result = partitioned_core(canonical)
-        assert is_core(result)
+        assert is_core(_pooled(canonical))
 
     def test_parity_with_executor(self):
         canonical = _canonical_solution(copies=4, pairs=6, seed=5)
-        serial = partitioned_core(canonical)
-        with Executor(workers=2) as executor:
-            parallel = partitioned_core(canonical, executor)
+        serial = blockwise_core(canonical)
+        assert obs.counter("core.blocks_parallel").value == 0
+        parallel = _pooled(canonical)
         assert _fp(parallel) == _fp(serial)
         assert obs.counter("core.blocks_parallel").value > 0
 
@@ -56,32 +60,30 @@ class TestPartitionedCore:
         inst = Instance(
             [Atom(E, (Const("a"), Const("b"))), Atom(E, (Const("c"), Const("d")))]
         )
-        assert partitioned_core(inst) == inst
+        assert _pooled(inst) == inst
 
     def test_empty_instance(self):
-        assert len(partitioned_core(Instance())) == 0
+        assert len(_pooled(Instance())) == 0
 
     def test_single_component_falls_back(self):
         inst = Instance(
             [Atom(E, (Const("a"), Null(0))), Atom(E, (Const("a"), Const("b")))]
         )
-        before = obs.counter("core.partition_fallbacks").value
-        result = partitioned_core(inst)
+        result = _pooled(inst)
         assert isomorphic(result, core(inst))
-        assert obs.counter("core.partition_fallbacks").value == before + 1
+        assert obs.counter("core.blocks_parallel").value == 0
 
     def test_all_null_component_falls_back_and_stays_exact(self):
         # Two isomorphic all-null components: the union's core is a
         # single atom (one component folds onto the other), which only
-        # the global pass can see -- the guard must force the fallback.
+        # the in-process pass can see -- the guard must keep it there.
         inst = Instance(
             [Atom(E, (Null(0), Null(1))), Atom(E, (Null(2), Null(3)))]
         )
-        before = obs.counter("core.partition_fallbacks").value
-        result = partitioned_core(inst)
+        result = _pooled(inst)
         assert len(result) == 1
         assert isomorphic(result, core(inst))
-        assert obs.counter("core.partition_fallbacks").value == before + 1
+        assert obs.counter("core.blocks_parallel").value == 0
 
     def test_mixed_anchored_and_null_component_falls_back(self):
         inst = Instance(
@@ -90,8 +92,15 @@ class TestPartitionedCore:
                 Atom(E, (Null(1), Null(2))),
             ]
         )
-        result = partitioned_core(inst)
+        result = _pooled(inst)
         assert isomorphic(result, core(inst))
+        assert obs.counter("core.blocks_parallel").value == 0
+
+
+@pytest.fixture(scope="module")
+def shared_executor():
+    with Executor(workers=2) as executor:
+        yield executor
 
 
 def small_multi_component_instances():
@@ -131,5 +140,7 @@ def small_multi_component_instances():
 
 @given(small_multi_component_instances())
 @settings(max_examples=60, deadline=None)
-def test_partitioned_core_equals_global_core(inst):
-    assert isomorphic(partitioned_core(inst), core(inst))
+def test_partitioned_core_equals_global_core(shared_executor, inst):
+    # The pooled route (value components minimized on the Executor)
+    # must agree with the global core on multi-component instances.
+    assert isomorphic(blockwise_core(inst, shared_executor), core(inst))

@@ -7,7 +7,8 @@ from repro.chase.seminaive import seminaive_chase
 from repro.core import isomorphic
 from repro.cwa import core_solution, is_cwa_solution
 from repro.generators import random_source_for, random_weakly_acyclic_setting
-from repro.homomorphism import blockwise_core, core, hom_equivalent
+from repro.exchange.solve import solve
+from repro.homomorphism import core, fold_step, hom_equivalent, is_core
 
 
 class TestGenerator:
@@ -61,12 +62,17 @@ class TestRandomSweeps:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_core_algorithms_agree(self, seed):
+        # solve()'s core and the blockwise is_core against the folding
+        # oracle (the routine itself: tests/test_blocks.py).
         setting = random_weakly_acyclic_setting(seed)
         source = random_source_for(setting, seed=seed + 200)
-        canonical = setting.canonical_universal_solution(source)
+        result = solve(setting, source)
+        canonical = result.canonical_solution
         if canonical is None:
             return
-        assert isomorphic(core(canonical), blockwise_core(canonical))
+        assert isomorphic(core(canonical), result.core_solution)
+        assert is_core(canonical) == (fold_step(canonical) is None)
+        assert is_core(result.core_solution)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_theorem_5_1_holds(self, seed):

@@ -1,6 +1,6 @@
-"""Fingerprint parity: sharded/partitioned runs vs serial runs.
+"""Fingerprint parity: sharded/pooled runs vs serial runs.
 
-The partitioned chase and the partitioned core must be invisible in the
+The partitioned chase and the pooled core must be invisible in the
 results: the same fp/v1 canonical fingerprints as the sequential paths,
 on the paper examples and on random weakly acyclic settings (hypothesis).
 Style follows ``tests/test_plan_parity.py`` -- one workload, two paths,
@@ -78,15 +78,6 @@ class TestSolveParity:
         source = disjoint_scaled_sources(2, 6, seed=19)
         solve(setting, source)  # shard="auto", no executor
         assert obs.counter("chase.shard_chases").value == 0
-
-    def test_partitioned_core_algorithm_explicit(self):
-        setting = example_2_1_setting()
-        source = disjoint_scaled_sources(2, 8, seed=23)
-        serial = solve(setting, source, shard="off")
-        partitioned = solve(
-            setting, source, shard="off", core_algorithm="partitioned"
-        )
-        _assert_result_parity(serial, partitioned)
 
     def test_empty_source(self):
         setting = example_2_1_setting()
