@@ -1,4 +1,4 @@
-"""Backtracking matcher for conjunctions of relational atoms.
+"""Matching conjunctions of relational atoms.
 
 One matcher powers the whole library:
 
@@ -11,32 +11,19 @@ The matcher enumerates all substitutions ``θ`` of the pattern variables by
 values of the instance such that every pattern atom ``A`` satisfies
 ``θ(A) ∈ I`` and every inequality ``s ≠ t`` satisfies ``θ(s) ≠ θ(t)``.
 
-By default ``match()`` routes through the **compiled plans** of
-:mod:`repro.logic.plans`: each distinct (pattern, inequalities,
-pre-bound variables) triple is compiled once -- static fail-first join
-order, slot arrays, index-probe programs, O(1) ground probes -- and the
-plan is cached, so the repeated evaluations of a chase pay only for
-execution.  The original interpreted matcher below is kept verbatim as
-the **reference oracle** (:func:`match_interpreted`, and the fallback
-when :func:`repro.logic.plans.enabled` is False): at each step it picks
-the *most constrained* remaining atom -- the one with the fewest
-candidate instance atoms given the current partial substitution --
-using the instance's (relation, position, value) index.  The hypothesis
-parity suite asserts the two enumerate identical substitution sets.
-
-When **attributed execution** is on (:func:`repro.obs.attribution
-.enabled`, the ``repro explain-plan`` path), the compiled route switches
-to a profiled executor that charges per-step probe/candidate/row counts
-and self-time to the plan's record in the attribution table -- see
-:meth:`repro.logic.plans.CompiledPattern.matches` for the dispatch.  The
-interpreted matcher has no profiled variant; it participates only
-through the ``attributed`` scope counters below.
+``match()`` has one route: :func:`repro.logic.plans.plan_for` compiles
+each distinct (pattern, inequalities, pre-bound variables) triple once
+-- static fail-first join order, slot arrays, index-probe programs,
+O(1) ground probes -- and :meth:`repro.logic.plans.CompiledPattern
+.matches` executes it.  The executor always counts candidates and
+backtracks; inside an :class:`attributed` block ``match()`` flushes
+those counts into the block's counter pair.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 from ..core.atoms import Atom, Substitution
 from ..core.instance import Instance
@@ -47,13 +34,11 @@ from . import plans
 Inequality = Tuple[Term, Term]
 
 # Telemetry attribution.  The matcher serves several masters (chase
-# premise evaluation, query evaluation, homomorphism search); candidate
-# and backtrack counting is *opt-in* per call site: an ``attributed``
-# block installs a counter pair (``<scope>.candidates`` /
-# ``<scope>.backtracks``) and match() runs its counting search variant.
-# Outside any block the matcher runs the plain variant -- ``match()`` is
-# the single hottest function in the library and the chase's premise
-# evaluation must not pay for bookkeeping nobody asked for.
+# premise evaluation, query evaluation, homomorphism search), so its
+# counts are published per call site: an ``attributed`` block installs a
+# counter pair (``<scope>.candidates`` / ``<scope>.backtracks``) that
+# match() flushes the executor's counts into.  Outside any block the
+# counts are dropped.
 #
 # The registry is a bounded LRU of *handles*: the counters themselves
 # live in the repro.obs registry; evicting a handle here only means the
@@ -103,155 +88,6 @@ class attributed:
         return False
 
 
-def _candidate_count(pattern: Atom, instance: Instance, bound: Dict[Variable, Value]) -> int:
-    """Upper bound on the number of instance atoms matching ``pattern``."""
-    best = instance.count_of(pattern.relation)
-    for position, arg in enumerate(pattern.args):
-        if isinstance(arg, Value):
-            value = arg
-        elif isinstance(arg, Variable) and arg in bound:
-            value = bound[arg]
-        else:
-            continue
-        count = instance.count_with(pattern.relation, position, value)
-        if count < best:
-            best = count
-    return best
-
-
-def _candidates(pattern: Atom, instance: Instance, bound: Dict[Variable, Value]) -> Iterable[Atom]:
-    """Instance atoms that could match ``pattern`` under ``bound``."""
-    best_key: Optional[Tuple[int, Value]] = None
-    best_count = instance.count_of(pattern.relation)
-    for position, arg in enumerate(pattern.args):
-        if isinstance(arg, Value):
-            value = arg
-        elif isinstance(arg, Variable) and arg in bound:
-            value = bound[arg]
-        else:
-            continue
-        count = instance.count_with(pattern.relation, position, value)
-        if count < best_count:
-            best_count = count
-            best_key = (position, value)
-    if best_key is None:
-        return instance.atoms_of(pattern.relation)
-    return instance.atoms_with(pattern.relation, best_key[0], best_key[1])
-
-
-def _unify(pattern: Atom, fact: Atom, bound: Dict[Variable, Value]) -> Optional[List[Tuple[Variable, Value]]]:
-    """Try to match ``pattern`` against ``fact``; return new bindings or None."""
-    new_bindings: List[Tuple[Variable, Value]] = []
-    local: Dict[Variable, Value] = {}
-    for pattern_arg, fact_arg in zip(pattern.args, fact.args):
-        if isinstance(pattern_arg, Value):
-            if pattern_arg != fact_arg:
-                return None
-        else:
-            current = bound.get(pattern_arg, local.get(pattern_arg))
-            if current is None:
-                local[pattern_arg] = fact_arg
-                new_bindings.append((pattern_arg, fact_arg))
-            elif current != fact_arg:
-                return None
-    return new_bindings
-
-
-def _resolve(term: Term, bound: Dict[Variable, Value]) -> Optional[Value]:
-    if isinstance(term, Value):
-        return term
-    return bound.get(term)
-
-
-def _inequalities_hold(
-    inequalities: Sequence[Inequality], bound: Dict[Variable, Value]
-) -> bool:
-    """True unless some inequality is *violated* by fully bound terms."""
-    for left, right in inequalities:
-        left_value = _resolve(left, bound)
-        right_value = _resolve(right, bound)
-        if left_value is not None and right_value is not None:
-            if left_value == right_value:
-                return False
-    return True
-
-
-def _search(
-    remaining: List[Atom],
-    instance: Instance,
-    bound: Dict[Variable, Value],
-    inequalities: Sequence[Inequality],
-) -> Iterator[Dict[Variable, Value]]:
-    """The plain (uncounted) backtracking search."""
-    if not remaining:
-        yield dict(bound)
-        return
-    # Fail-first: most constrained atom next.
-    index = min(
-        range(len(remaining)),
-        key=lambda i: _candidate_count(remaining[i], instance, bound),
-    )
-    pattern = remaining.pop(index)
-    try:
-        for fact in _candidates(pattern, instance, bound):
-            new_bindings = _unify(pattern, fact, bound)
-            if new_bindings is None:
-                continue
-            for variable, value in new_bindings:
-                bound[variable] = value
-            if _inequalities_hold(inequalities, bound):
-                yield from _search(remaining, instance, bound, inequalities)
-            for variable, _ in new_bindings:
-                del bound[variable]
-    finally:
-        remaining.insert(index, pattern)
-
-
-def _search_counted(
-    remaining: List[Atom],
-    instance: Instance,
-    bound: Dict[Variable, Value],
-    inequalities: Sequence[Inequality],
-    counts: List[int],
-) -> Iterator[Dict[Variable, Value]]:
-    """The counting search: ``counts`` accumulates [candidates, backtracks].
-
-    A backtrack is a candidate that failed to unify, or the undoing of a
-    non-empty partial binding after its subtree was exhausted.
-    """
-    if not remaining:
-        yield dict(bound)
-        return
-    index = min(
-        range(len(remaining)),
-        key=lambda i: _candidate_count(remaining[i], instance, bound),
-    )
-    pattern = remaining.pop(index)
-    tried = 0
-    backs = 0
-    try:
-        for fact in _candidates(pattern, instance, bound):
-            tried += 1
-            new_bindings = _unify(pattern, fact, bound)
-            if new_bindings is None:
-                backs += 1
-                continue
-            for variable, value in new_bindings:
-                bound[variable] = value
-            if _inequalities_hold(inequalities, bound):
-                yield from _search_counted(
-                    remaining, instance, bound, inequalities, counts
-                )
-            if new_bindings:
-                backs += 1
-            for variable, _ in new_bindings:
-                del bound[variable]
-    finally:
-        remaining.insert(index, pattern)
-        counts[0] += tried
-        counts[1] += backs
-
-
 def match(
     patterns: Sequence[Atom],
     instance: Instance,
@@ -278,71 +114,21 @@ def match(
                 )
             bound[variable] = term
 
+    plan = plans.plan_for(patterns, inequalities, bound)
     counters = _ACTIVE_COUNTERS
-
-    if plans.enabled():
-        plan = plans.plan_for(patterns, inequalities, bound)
-        if counters is None:
-            yield from plan.matches(instance, bound)
-            return
-        counts = [0, 0]
-        try:
-            yield from plan.matches(instance, bound, counts)
-        finally:
-            # Flushed exactly once, also when the consumer stops early
-            # (generator close) -- first_match and exists_match do.
-            if counts[0]:
-                candidate_counter, backtrack_counter = counters
-                candidate_counter.value += counts[0]
-                backtrack_counter.value += counts[1]
-        return
-
-    if not _inequalities_hold(inequalities, bound):
-        return
-
-    remaining = list(patterns)
     if counters is None:
-        for result in _search(remaining, instance, bound, inequalities):
-            yield Substitution(result)
+        yield from plan.matches(instance, bound)
         return
-
     counts = [0, 0]
     try:
-        for result in _search_counted(
-            remaining, instance, bound, inequalities, counts
-        ):
-            yield Substitution(result)
+        yield from plan.matches(instance, bound, counts)
     finally:
+        # Flushed exactly once, also when the consumer stops early
+        # (generator close) -- first_match and exists_match do.
         if counts[0]:
             candidate_counter, backtrack_counter = counters
             candidate_counter.value += counts[0]
             backtrack_counter.value += counts[1]
-
-
-def match_interpreted(
-    patterns: Sequence[Atom],
-    instance: Instance,
-    *,
-    initial: Optional[Substitution] = None,
-    inequalities: Sequence[Inequality] = (),
-) -> Iterator[Substitution]:
-    """The interpreted reference matcher, bypassing compiled plans.
-
-    Same contract as :func:`match`.  The parity suite diffs the two;
-    keep this path semantically frozen.
-    """
-    bound: Dict[Variable, Value] = {}
-    if initial is not None:
-        for variable, term in initial.items():
-            if not isinstance(term, Value):
-                raise TypeError(
-                    f"initial substitution must map to values, got {term!r}"
-                )
-            bound[variable] = term
-    if not _inequalities_hold(inequalities, bound):
-        return
-    for result in _search(list(patterns), instance, bound, inequalities):
-        yield Substitution(result)
 
 
 def exists_match(

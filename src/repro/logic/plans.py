@@ -1,23 +1,19 @@
-"""Compiled match plans: one-time query compilation for the matcher.
+"""Compiled match plans: the library's one join executor.
 
-The interpreted matcher in :mod:`repro.logic.matching` re-derives its
-atom ordering and candidate sets from scratch on every call, even though
-the patterns it is asked about -- tgd and egd premises, conjunctive
-queries, canonical queries of instances -- are fixed for the life of a
-chase or a homomorphism search.  This module compiles each distinct
-``(pattern, inequalities, pre-bound variables)`` triple **once** into a
-:class:`CompiledPattern` and caches it, so repeated evaluation pays only
-for execution:
+The patterns the matcher is asked about -- tgd and egd premises,
+conjunctive queries, canonical queries of instances -- are fixed for
+the life of a chase or a homomorphism search.  This module compiles
+each distinct ``(pattern, inequalities, pre-bound variables)`` triple
+**once** into a :class:`CompiledPattern` and caches it, so repeated
+evaluation pays only for execution:
 
 * **Static join order.**  A greedy fail-first order is fixed at compile
   time from static selectivity: atoms with more constants and already
   bound variables first, fewer new variables, smaller arity as the
-  tie-break.  The interpreted matcher recomputes candidate counts for
-  every remaining atom at every search node; the compiled plan does no
-  such bookkeeping.
+  tie-break.  A lazy heap computes it in O(m log m).
 * **Slot arrays instead of dict substitutions.**  Every variable gets an
-  integer slot; execution binds and unbinds list entries instead of
-  building dictionaries.
+  integer slot; execution binds list entries instead of building
+  dictionaries.
 * **Index-probe programs.**  Each step precomputes which (position,
   constant) and (position, slot) pairs can serve as index probes; at run
   time the smallest ``(relation, position, value)`` bucket is chosen,
@@ -33,15 +29,17 @@ for execution:
 
 Inequalities are scheduled at the earliest step where both sides are
 bound (or before the first step, when the initial substitution already
-decides them), so they prune the search exactly as eagerly as in the
-interpreted matcher.  Inequalities that can never be fully bound are
-dropped -- the interpreted semantics treat them as vacuously true.
+decides them), so they prune as eagerly as possible.  Inequalities that
+can never be fully bound are dropped: they are vacuously true.
 
-The compiled executor iterates the instance's **live** index buckets
-(no frozenset copies).  Callers must therefore not mutate the instance
-while consuming a match generator; every call site in this library
-either materializes matches first or abandons the generator before
-mutating (see ``docs/performance.md``).
+:meth:`CompiledPattern.matches` is the executor: one iterative
+backtracking join with an explicit stack, candidate/backtrack counts
+always on, and per-step timing only under attributed execution.  It
+iterates the instance's **live** index buckets (no frozenset copies).
+Callers must therefore not mutate the instance while consuming a match
+generator; every call site in this library either materializes matches
+first or abandons the generator before mutating (see
+``docs/performance.md``).
 
 Telemetry: ``plan.compilations`` counts cache misses (actual compiles),
 ``plan.cache_hits`` counts reuses.  The cache is a bounded LRU so
@@ -51,6 +49,7 @@ long-running multi-scenario processes cannot grow it without limit.
 from __future__ import annotations
 
 import hashlib
+import heapq
 from collections import OrderedDict
 from time import perf_counter
 from typing import (
@@ -84,39 +83,6 @@ register_gauge_provider(
 )
 
 _EMPTY_KEYS: FrozenSet[Variable] = frozenset()
-
-# ----------------------------------------------------------------------
-# Enable/disable toggle -- the interpreted matcher stays available as a
-# reference oracle (the parity suite diffs the two).
-# ----------------------------------------------------------------------
-
-_ENABLED = True
-
-
-def enabled() -> bool:
-    """True when ``match()`` routes through compiled plans."""
-    return _ENABLED
-
-
-class interpreted_only:
-    """Context manager forcing the interpreted reference matcher.
-
-    Used by the parity suite to obtain oracle answers, and available as
-    an escape hatch when debugging the compiler itself.  Reentrant.
-    """
-
-    __slots__ = ("_previous",)
-
-    def __enter__(self) -> None:
-        global _ENABLED
-        self._previous = _ENABLED
-        _ENABLED = False
-
-    def __exit__(self, *exc_info) -> bool:
-        global _ENABLED
-        _ENABLED = self._previous
-        return False
-
 
 # ----------------------------------------------------------------------
 # Plan cache
@@ -302,7 +268,7 @@ class CompiledPattern:
                         when = step
                 else:
                     # A side that never becomes a value is never
-                    # violated -- matches the interpreted semantics.
+                    # violated.
                     resolvable = False
                     break
             if not resolvable:
@@ -385,36 +351,52 @@ class CompiledPattern:
     ) -> List[int]:
         """Greedy fail-first order from static selectivity.
 
-        Prefer atoms with many constants/bound variables, then few new
-        variables, then small arity; the original index breaks ties so
-        compilation is deterministic.
+        Each pick takes the atom with the smallest score ``(-n_fixed,
+        new_vars, arity, index)``: many constants/bound variables first,
+        then few new variables, then small arity; the original index
+        breaks ties so compilation is deterministic.  Binding a variable
+        strictly improves the scores of the atoms that contain it, so a
+        lazy min-heap gives the same order in O(m log m): each newly
+        bound variable pushes a fresh entry for each untaken atom that
+        contains it.  An atom's fresh entry always sorts before its stale
+        ones, so a stale entry surfaces only after its atom was taken
+        and is skipped.
         """
-        remaining = list(range(len(patterns)))
-        bound = set(initial_keys)
+        n_fixed: List[int] = []
+        new_vars: List[int] = []
+        occurrences: Dict[Variable, List[Tuple[int, int]]] = {}
+        heap: List[Tuple[int, int, int, int]] = []
+        for i, pattern in enumerate(patterns):
+            fixed = 0
+            multiplicity: Dict[Variable, int] = {}
+            for term in pattern.args:
+                if isinstance(term, Value) or term in initial_keys:
+                    fixed += 1
+                else:
+                    multiplicity[term] = multiplicity.get(term, 0) + 1
+            for variable, times in multiplicity.items():
+                occurrences.setdefault(variable, []).append((i, times))
+            n_fixed.append(fixed)
+            new_vars.append(len(multiplicity))
+            heap.append((-fixed, len(multiplicity), len(pattern.args), i))
+        heapq.heapify(heap)
+        taken = [False] * len(patterns)
         order: List[int] = []
-        while remaining:
-            best_index = None
-            best_score = None
-            for i in remaining:
-                pattern = patterns[i]
-                n_fixed = 0
-                new_vars = set()
-                for term in pattern.args:
-                    if isinstance(term, Value):
-                        n_fixed += 1
-                    elif term in bound:
-                        n_fixed += 1
-                    else:
-                        new_vars.add(term)
-                score = (-n_fixed, len(new_vars), len(pattern.args), i)
-                if best_score is None or score < best_score:
-                    best_score = score
-                    best_index = i
-            remaining.remove(best_index)
-            order.append(best_index)
-            for term in patterns[best_index].args:
-                if isinstance(term, Variable):
-                    bound.add(term)
+        while heap:
+            i = heapq.heappop(heap)[3]
+            if taken[i]:
+                continue
+            taken[i] = True
+            order.append(i)
+            for term in patterns[i].args:
+                for j, times in occurrences.pop(term, ()):
+                    if not taken[j]:
+                        n_fixed[j] += times
+                        new_vars[j] -= 1
+                        heapq.heappush(
+                            heap,
+                            (-n_fixed[j], new_vars[j], len(patterns[j].args), j),
+                        )
         return order
 
     # ------------------------------------------------------------------
@@ -427,11 +409,26 @@ class CompiledPattern:
         initial_map: Dict[Variable, Value],
         counts: Optional[List[int]] = None,
     ) -> Iterator[Substitution]:
-        """Enumerate substitutions; ``counts`` switches on bookkeeping.
+        """Enumerate substitutions with one iterative backtracking join.
 
         ``initial_map`` must bind exactly ``self.initial_keys`` (the
-        plan was compiled for that key set).  When ``counts`` is given
-        it accumulates ``[candidates_tried, backtracks]`` in place.
+        plan was compiled for that key set).  The executor keeps one
+        candidate iterator per step on an explicit stack, so pattern
+        size is not limited by the interpreter's recursion depth.
+
+        ``[candidates, backtracks]`` are always counted and, when
+        ``counts`` is given, added to it once -- also when the consumer
+        stops early (generator close).  A candidate is one fact (or
+        ground probe) considered; a backtrack is a candidate that failed
+        its checks or inequalities, or a binding whose subtree was
+        exhausted.  Under :func:`repro.obs.attribution.enabled` the same
+        run also fills the plan record's per-step ``[probes, candidates,
+        emitted, seconds]`` rows; self-time excludes child steps and
+        consumer time, and the clock is read only in that mode.
+
+        Backtracking never unbinds: every check reads only slots bound
+        by earlier steps of the current path, and a step's binds
+        overwrite its own slots on the next candidate.
         """
         slots: List[Optional[Value]] = [None] * self.n_slots
         for variable, slot in self.prebound:
@@ -441,273 +438,125 @@ class CompiledPattern:
             right = slots[bval] if bkind else bval
             if left is right:
                 return
+        rows = None
         if _attribution.enabled():
             record = self._attr_record()
             record["uses"] += 1
-            runner = self._run_profiled(
-                instance, slots, 0, record["counts"], counts
-            )
-        elif counts is None:
-            runner = self._run(instance, slots, 0)
-        else:
-            runner = self._run_counted(instance, slots, 0, counts)
+            rows = record["counts"]
+        steps = self.steps
+        last = len(steps) - 1
+        if last < 0:
+            yield Substitution(initial_map)
+            return
         out_pairs = self.out_pairs
-        for _ in runner:
-            result = dict(initial_map)
-            for variable, slot in out_pairs:
-                result[variable] = slots[slot]
-            substitution = Substitution.__new__(Substitution)
-            substitution._mapping = result
-            yield substitution
-
-    def _run(
-        self, instance: Instance, slots: List, depth: int
-    ) -> Iterator[bool]:
-        """Plain executor: yields once per complete match (slots are set)."""
-        steps = self.steps
-        if depth == len(steps):
-            yield True
-            return
-        rel, const_checks, prior_checks, self_checks, binds, ineqs, argprog, probes = steps[depth]
-
-        if argprog is not None:
-            # Fully bound: one hash probe, no candidate iteration.  No
-            # inequality can first become checkable here (a step without
-            # binds resolves nothing new).
-            args = tuple(
-                slots[entry] if type(entry) is int else entry
-                for entry in argprog
-            )
-            if instance.has_tuple(rel, args):
-                yield from self._run(instance, slots, depth + 1)
-            return
-
-        bucket = instance.probe_relation(rel)
-        best = len(bucket)
-        for position, kind, value in probes:
-            probe = instance.probe_position(
-                rel, position, slots[value] if kind else value
-            )
-            count = len(probe)
-            if count < best:
-                if not count:
-                    return
-                best = count
-                bucket = probe
-
-        for fact in bucket:
-            fact_args = fact.args
-            ok = True
-            for position, value in const_checks:
-                if fact_args[position] is not value:
-                    ok = False
-                    break
-            if ok:
-                for position, slot in prior_checks:
-                    if fact_args[position] is not slots[slot]:
-                        ok = False
-                        break
-            if ok:
-                for position, earlier in self_checks:
-                    if fact_args[position] is not fact_args[earlier]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            for position, slot in binds:
-                slots[slot] = fact_args[position]
-            for akind, aval, bkind, bval in ineqs:
-                left = slots[aval] if akind else aval
-                right = slots[bval] if bkind else bval
-                if left is right:
-                    ok = False
-                    break
-            if ok:
-                yield from self._run(instance, slots, depth + 1)
-            for _, slot in binds:
-                slots[slot] = None
-
-    def _run_counted(
-        self, instance: Instance, slots: List, depth: int, counts: List[int]
-    ) -> Iterator[bool]:
-        """Counting executor: counts[0] += candidates, counts[1] += backtracks.
-
-        Mirrors the interpreted matcher's notion: a candidate is one fact
-        (or ground probe) considered; a backtrack is a candidate that
-        failed its checks, or the undoing of a non-empty binding.
-        """
-        steps = self.steps
-        if depth == len(steps):
-            yield True
-            return
-        rel, const_checks, prior_checks, self_checks, binds, ineqs, argprog, probes = steps[depth]
-
-        if argprog is not None:
-            counts[0] += 1
-            args = tuple(
-                slots[entry] if type(entry) is int else entry
-                for entry in argprog
-            )
-            if instance.has_tuple(rel, args):
-                yield from self._run_counted(instance, slots, depth + 1, counts)
-            else:
-                counts[1] += 1
-            return
-
-        bucket = instance.probe_relation(rel)
-        best = len(bucket)
-        for position, kind, value in probes:
-            probe = instance.probe_position(
-                rel, position, slots[value] if kind else value
-            )
-            count = len(probe)
-            if count < best:
-                if not count:
-                    return
-                best = count
-                bucket = probe
-
-        for fact in bucket:
-            counts[0] += 1
-            fact_args = fact.args
-            ok = True
-            for position, value in const_checks:
-                if fact_args[position] is not value:
-                    ok = False
-                    break
-            if ok:
-                for position, slot in prior_checks:
-                    if fact_args[position] is not slots[slot]:
-                        ok = False
-                        break
-            if ok:
-                for position, earlier in self_checks:
-                    if fact_args[position] is not fact_args[earlier]:
-                        ok = False
-                        break
-            if not ok:
-                counts[1] += 1
-                continue
-            for position, slot in binds:
-                slots[slot] = fact_args[position]
-            for akind, aval, bkind, bval in ineqs:
-                left = slots[aval] if akind else aval
-                right = slots[bval] if bkind else bval
-                if left is right:
-                    ok = False
-                    break
-            if ok:
-                yield from self._run_counted(instance, slots, depth + 1, counts)
-            if binds:
-                counts[1] += 1
-            for _, slot in binds:
-                slots[slot] = None
-
-    def _run_profiled(
-        self,
-        instance: Instance,
-        slots: List,
-        depth: int,
-        stats: List[List],
-        counts: Optional[List[int]] = None,
-    ) -> Iterator[bool]:
-        """Attributed executor: per-step probes/candidates/emitted/time.
-
-        ``stats[depth]`` is the step's mutable ``[probes, candidates,
-        emitted, seconds]`` row in the attribution plan record.  Self-
-        time excludes child steps *and* consumer time: the clock pauses
-        across the recursive ``yield from`` and resumes when control
-        returns to this frame.  ``counts`` keeps the ``attributed``
-        scope contract of :meth:`_run_counted` when both are requested.
-        """
-        steps = self.steps
-        if depth == len(steps):
-            yield True
-            return
-        row = stats[depth]
-        rel, const_checks, prior_checks, self_checks, binds, ineqs, argprog, probes = steps[depth]
-
-        started = perf_counter()
-        if argprog is not None:
-            row[0] += 1
-            row[1] += 1
-            if counts is not None:
-                counts[0] += 1
-            args = tuple(
-                slots[entry] if type(entry) is int else entry
-                for entry in argprog
-            )
-            if instance.has_tuple(rel, args):
-                row[2] += 1
-                row[3] += perf_counter() - started
-                yield from self._run_profiled(
-                    instance, slots, depth + 1, stats, counts
-                )
-            else:
-                if counts is not None:
-                    counts[1] += 1
-                row[3] += perf_counter() - started
-            return
-
-        bucket = instance.probe_relation(rel)
-        best = len(bucket)
-        for position, kind, value in probes:
-            row[0] += 1
-            probe = instance.probe_position(
-                rel, position, slots[value] if kind else value
-            )
-            count = len(probe)
-            if count < best:
-                if not count:
+        iterators: List = [None] * len(steps)
+        candidates = backtracks = 0
+        depth = 0
+        # True when ``depth`` returns to its current candidate: the steps
+        # below it are exhausted, or it has just emitted a match.
+        resumed = False
+        try:
+            while depth >= 0:
+                rel, const_checks, prior_checks, self_checks, binds, ineqs, argprog, probes = steps[depth]
+                if rows is not None:
+                    row = rows[depth]
+                    mark = candidates
+                    started = perf_counter()
+                descend = False
+                if argprog is not None:
+                    # Fully bound: one hash probe, no candidate iteration,
+                    # and no binds, so no inequality is checked here.
+                    # Coming back from below means the subtree is done.
+                    if not resumed:
+                        candidates += 1
+                        if rows is not None:
+                            row[0] += 1
+                        args = tuple(
+                            [
+                                slots[entry] if type(entry) is int else entry
+                                for entry in argprog
+                            ]
+                        )
+                        if instance.has_tuple(rel, args):
+                            descend = True
+                        else:
+                            backtracks += 1
+                else:
+                    if resumed:
+                        # The current candidate's subtree is exhausted.
+                        backtracks += 1
+                        bucket = iterators[depth]
+                    else:
+                        bucket = instance.probe_relation(rel)
+                        best = len(bucket)
+                        for position, kind, value in probes:
+                            if rows is not None:
+                                row[0] += 1
+                            probe = instance.probe_position(
+                                rel, position, slots[value] if kind else value
+                            )
+                            count = len(probe)
+                            if count < best:
+                                best = count
+                                bucket = probe
+                                if not count:
+                                    break
+                        bucket = iterators[depth] = iter(bucket)
+                    for fact in bucket:
+                        candidates += 1
+                        fact_args = fact.args
+                        ok = True
+                        for position, value in const_checks:
+                            if fact_args[position] is not value:
+                                ok = False
+                                break
+                        if ok:
+                            for position, slot in prior_checks:
+                                if fact_args[position] is not slots[slot]:
+                                    ok = False
+                                    break
+                        if ok:
+                            for position, earlier in self_checks:
+                                if fact_args[position] is not fact_args[earlier]:
+                                    ok = False
+                                    break
+                        if ok:
+                            for position, slot in binds:
+                                slots[slot] = fact_args[position]
+                            for akind, aval, bkind, bval in ineqs:
+                                left = slots[aval] if akind else aval
+                                right = slots[bval] if bkind else bval
+                                if left is right:
+                                    ok = False
+                                    break
+                            if ok:
+                                descend = True
+                                break
+                        backtracks += 1
+                if rows is not None:
+                    row[1] += candidates - mark
                     row[3] += perf_counter() - started
-                    return
-                best = count
-                bucket = probe
-
-        for fact in bucket:
-            row[1] += 1
+                    if descend:
+                        row[2] += 1
+                if not descend:
+                    depth -= 1
+                    resumed = True
+                elif depth < last:
+                    depth += 1
+                    resumed = False
+                else:
+                    # A complete match: emit it, then resume this step.
+                    result = dict(initial_map)
+                    for variable, slot in out_pairs:
+                        result[variable] = slots[slot]
+                    substitution = Substitution.__new__(Substitution)
+                    substitution._mapping = result
+                    yield substitution
+                    resumed = True
+        finally:
             if counts is not None:
-                counts[0] += 1
-            fact_args = fact.args
-            ok = True
-            for position, value in const_checks:
-                if fact_args[position] is not value:
-                    ok = False
-                    break
-            if ok:
-                for position, slot in prior_checks:
-                    if fact_args[position] is not slots[slot]:
-                        ok = False
-                        break
-            if ok:
-                for position, earlier in self_checks:
-                    if fact_args[position] is not fact_args[earlier]:
-                        ok = False
-                        break
-            if not ok:
-                if counts is not None:
-                    counts[1] += 1
-                continue
-            for position, slot in binds:
-                slots[slot] = fact_args[position]
-            for akind, aval, bkind, bval in ineqs:
-                left = slots[aval] if akind else aval
-                right = slots[bval] if bkind else bval
-                if left is right:
-                    ok = False
-                    break
-            if ok:
-                row[2] += 1
-                row[3] += perf_counter() - started
-                yield from self._run_profiled(
-                    instance, slots, depth + 1, stats, counts
-                )
-                started = perf_counter()
-            if counts is not None and binds:
-                counts[1] += 1
-            for _, slot in binds:
-                slots[slot] = None
-        row[3] += perf_counter() - started
+                counts[0] += candidates
+                counts[1] += backtracks
 
     def explain(self) -> str:
         """A human-readable rendering of the plan (docs and debugging)."""

@@ -1,9 +1,9 @@
 """Size-ladder regressions: the core stays exact well past small inputs.
 
-A core search whose pattern spans the whole instance overflows the
-compiled matcher's recursion at about 1,000 atoms.  These rungs are
-sized past that point; the blockwise core searches one block at a time
-and must finish them all.
+These rungs are sized past the interpreter's recursion limit.  The
+blockwise core searches one block at a time and must finish them all,
+and the join executor must match whole-instance patterns of more than
+10,000 atoms (it keeps an explicit stack, not one frame per atom).
 """
 
 import pytest
@@ -17,7 +17,14 @@ from repro.engine import fingerprint_instance
 from repro.exchange.setting import DataExchangeSetting
 from repro.exchange.solve import solve
 from repro.generators import example_2_1_scaled_source, example_2_1_setting
-from repro.homomorphism import is_core, retracts_to
+from repro.homomorphism import (
+    has_homomorphism,
+    hom_equivalent,
+    is_core,
+    retracts_to,
+)
+from repro.homomorphism.search import canonical_pattern
+from repro.logic.matching import first_match
 
 
 @pytest.fixture(autouse=True)
@@ -80,3 +87,30 @@ def test_delta_session_full_resolve_at_400_rows():
     batch = solve(setting, session.source, engine="seminaive")
     assert _fp(result.core_solution) == _fp(batch.core_solution)
     assert is_core(result.core_solution)
+
+
+@pytest.fixture(scope="module")
+def anchored_3400():
+    """The anchored canonical solution at 3,400 rows (10,200 atoms)."""
+    result = solve(_anchored_setting(), _anchored_source(3400))
+    assert len(result.canonical_solution) == 10200
+    return result
+
+
+def test_has_homomorphism_on_10200_atoms(anchored_3400):
+    instance = anchored_3400.canonical_solution
+    assert has_homomorphism(instance, instance)
+
+
+def test_first_match_of_10200_atom_pattern(anchored_3400):
+    instance = anchored_3400.canonical_solution
+    pattern, back = canonical_pattern(instance)
+    substitution = first_match(pattern, instance)
+    assert substitution is not None
+    assert set(substitution) == set(back)
+
+
+def test_hom_equivalent_to_core_on_10200_atoms(anchored_3400):
+    assert hom_equivalent(
+        anchored_3400.canonical_solution, anchored_3400.core_solution
+    )

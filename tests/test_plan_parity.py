@@ -4,11 +4,16 @@ The compiled executor of ``repro.logic.plans`` must enumerate exactly the
 substitution set of the interpreted matcher (order-insensitive) on every
 pattern: hypothesis drives random patterns, inequalities, initial
 bindings, and instances through both paths, and the paper examples are
-checked end-to-end by fingerprint (``fp/v1``) through both paths.
+checked end-to-end by fingerprint (``fp/v1``) through both paths.  The
+interpreted matcher lives in the test tree (:mod:`tests.match_oracle`);
+the end-to-end checks route ``match()`` through it by patching
+``plans.plan_for``.
 """
 
 import pickle
+from contextlib import contextmanager
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +29,9 @@ from repro.core import (
 )
 from repro.engine import fingerprint_answers, fingerprint_instance
 from repro.logic import plans
-from repro.logic.matching import match, match_interpreted
+from repro.logic.matching import match
+
+from .match_oracle import greedy_join_order, match_interpreted
 
 E = RelationSymbol("E", 2)
 P = RelationSymbol("P", 1)
@@ -241,15 +248,6 @@ class TestPlanCache:
             list(match((Atom(relation, (VARS[0],)),), Instance()))
         assert plans.cache_size() <= plans._CACHE_LIMIT
 
-    def test_interpreted_only_toggle(self):
-        assert plans.enabled()
-        with plans.interpreted_only():
-            assert not plans.enabled()
-            with plans.interpreted_only():
-                assert not plans.enabled()
-            assert not plans.enabled()
-        assert plans.enabled()
-
     def test_explain_renders(self):
         x, y = VARS[:2]
         plan = plans.plan_for(
@@ -267,6 +265,33 @@ class TestPlanCache:
             (Atom(P, (x,)), Atom(E, (x, Const("b")))), (), frozenset({x})
         )
         assert all(step[6] is not None for step in plan.steps)
+
+
+@st.composite
+def join_order_case(draw):
+    variables = [Variable(f"v{i}") for i in range(6)]
+    terms = variables + [Const("a"), Const("b"), Null(0)]
+    relations = [P, E, T]
+    patterns = tuple(
+        Atom(
+            (relation := draw(st.sampled_from(relations))),
+            tuple(
+                draw(st.sampled_from(terms)) for _ in range(relation.arity)
+            ),
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=12)))
+    )
+    keys = frozenset(draw(st.sets(st.sampled_from(variables), max_size=3)))
+    return patterns, keys
+
+
+@given(join_order_case())
+@settings(max_examples=300, deadline=None)
+def test_heap_join_order_equals_greedy(case):
+    patterns, keys = case
+    assert plans.CompiledPattern._join_order(patterns, keys) == (
+        greedy_join_order(patterns, keys)
+    )
 
 
 # ----------------------------------------------------------------------
@@ -306,6 +331,35 @@ class TestInterning:
 # ----------------------------------------------------------------------
 
 
+class _InterpretedPlan:
+    """Stands in for a compiled plan; runs the interpreted oracle."""
+
+    def __init__(self, patterns, inequalities, initial_keys):
+        self._patterns = patterns
+        self._inequalities = inequalities
+
+    def matches(self, instance, initial_map, counts=None):
+        return match_interpreted(
+            self._patterns,
+            instance,
+            initial=Substitution(initial_map),
+            inequalities=self._inequalities,
+        )
+
+
+@pytest.fixture
+def interpreted_route():
+    """A context manager under which ``match()`` runs the oracle."""
+
+    @contextmanager
+    def route():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(plans, "plan_for", _InterpretedPlan)
+            yield
+
+    return route
+
+
 class TestFingerprintParity:
     def _solve_fingerprints(self, setting, source):
         from repro.exchange import solve
@@ -316,7 +370,7 @@ class TestFingerprintParity:
             prints.append(fingerprint_instance(result.core_solution))
         return prints
 
-    def test_example_2_1_solution_fingerprints(self):
+    def test_example_2_1_solution_fingerprints(self, interpreted_route):
         from repro.generators.settings_library import (
             example_2_1_setting,
             example_2_1_source,
@@ -325,11 +379,11 @@ class TestFingerprintParity:
         setting = example_2_1_setting()
         source = example_2_1_source()
         compiled = self._solve_fingerprints(setting, source)
-        with plans.interpreted_only():
+        with interpreted_route():
             interpreted = self._solve_fingerprints(setting, source)
         assert compiled == interpreted
 
-    def test_example_5_3_solution_fingerprints(self):
+    def test_example_5_3_solution_fingerprints(self, interpreted_route):
         from repro.generators.settings_library import (
             example_5_3_setting,
             example_5_3_source,
@@ -338,11 +392,11 @@ class TestFingerprintParity:
         setting = example_5_3_setting()
         source = example_5_3_source(3)
         compiled = self._solve_fingerprints(setting, source)
-        with plans.interpreted_only():
+        with interpreted_route():
             interpreted = self._solve_fingerprints(setting, source)
         assert compiled == interpreted
 
-    def test_certain_answer_fingerprints_on_example_2_1(self):
+    def test_certain_answer_fingerprints_on_example_2_1(self, interpreted_route):
         from repro.answering import certain_answers
         from repro.generators.settings_library import (
             example_2_1_setting,
@@ -359,6 +413,144 @@ class TestFingerprintParity:
             return fingerprint_answers(answers)
 
         compiled = run()
-        with plans.interpreted_only():
+        with interpreted_route():
             interpreted = run()
         assert compiled == interpreted
+
+
+# ----------------------------------------------------------------------
+# The count contract: hom.candidates / hom.backtracks and the per-step
+# attribution rows keep their meaning (perfbench reports them as
+# homomorphism.candidates / homomorphism.backtracks).  A full drain with
+# a fixed join order counts the same under any bucket iteration order;
+# the pinned values are those of the recursive executors this one
+# replaced.
+# ----------------------------------------------------------------------
+
+F = RelationSymbol("F", 2)
+G = RelationSymbol("G", 2)
+_x, _y, _z, _w = (Variable(name) for name in "xyzw")
+_n0, _n1, _n2 = (Variable(f"n{i}") for i in range(3))
+
+#: name -> (patterns, inequalities, initial, over the paper's instance?,
+#: matches, (candidates, backtracks), per-step [probes, candidates, emitted])
+COUNT_CASES = {
+    "chain": (
+        (Atom(E, (_x, _y)), Atom(F, (_x, _z)), Atom(G, (_z, _w))), (), None,
+        False, 39, (117, 117), [[0, 39, 39], [39, 39, 39], [39, 39, 39]],
+    ),
+    "egd_premise": (
+        (Atom(F, (_x, _y)), Atom(F, (_x, _z))), ((_y, _z),), None,
+        False, 0, (38, 38), [[0, 19, 19], [19, 19, 0]],
+    ),
+    "path": (
+        (Atom(E, (_x, _y)), Atom(E, (_y, _z))), (), None,
+        False, 42, (81, 81), [[0, 39, 39], [39, 42, 42]],
+    ),
+    "prebound_star": (
+        (Atom(E, (_x, _y)), Atom(E, (_x, _w)), Atom(F, (_x, _z))), (),
+        {_x: Const("c4")},
+        False, 16, (36, 36), [[1, 4, 4], [4, 16, 16], [16, 16, 16]],
+    ),
+    "endomorphisms": (
+        (
+            Atom(E, (Const("a"), Const("b"))),
+            Atom(E, (Const("a"), _n0)),
+            Atom(F, (Const("a"), _n1)),
+            Atom(G, (_n1, _n2)),
+        ),
+        (), None,
+        True, 2, (7, 6), [[1, 1, 1], [1, 2, 2], [2, 2, 2], [2, 2, 2]],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def example_2_1_canonicals():
+    from repro.generators import example_2_1_scaled_source
+    from repro.generators.settings_library import (
+        example_2_1_setting,
+        example_2_1_source,
+    )
+
+    setting = example_2_1_setting()
+    return (
+        setting.canonical_universal_solution(
+            example_2_1_scaled_source(20, seed=13)
+        ),
+        setting.canonical_universal_solution(example_2_1_source()),
+    )
+
+
+def _hom_counters():
+    from repro.obs import counter
+
+    return counter("hom.candidates"), counter("hom.backtracks")
+
+
+class TestCountContract:
+    @pytest.mark.parametrize("name", sorted(COUNT_CASES))
+    def test_full_drain_counts_are_pinned(self, name, example_2_1_canonicals):
+        from repro.logic.matching import attributed
+
+        patterns, ineqs, initial, paper, n, counts, _ = COUNT_CASES[name]
+        target = example_2_1_canonicals[1 if paper else 0]
+        candidates, backtracks = _hom_counters()
+        before = (candidates.value, backtracks.value)
+        with attributed("hom"):
+            found = list(
+                match(
+                    patterns,
+                    target,
+                    initial=Substitution(initial) if initial else None,
+                    inequalities=ineqs,
+                )
+            )
+        assert len(found) == n
+        assert (
+            candidates.value - before[0],
+            backtracks.value - before[1],
+        ) == counts
+
+    @pytest.mark.parametrize("name", sorted(COUNT_CASES))
+    def test_attribution_rows_are_pinned(self, name, example_2_1_canonicals):
+        from repro.obs import attribution
+
+        patterns, ineqs, initial, paper, _, _, rows = COUNT_CASES[name]
+        target = example_2_1_canonicals[1 if paper else 0]
+        attribution.reset()
+        try:
+            with attribution.attributing():
+                for _ in match(
+                    patterns,
+                    target,
+                    initial=Substitution(initial) if initial else None,
+                    inequalities=ineqs,
+                ):
+                    pass
+            plan = plans.plan_for(patterns, ineqs, frozenset(initial or ()))
+            record = attribution.plans()[plan.identity]
+            assert record["uses"] == 1
+            assert [row[:3] for row in record["counts"]] == rows
+        finally:
+            attribution.reset()
+
+    def test_early_stop_flushes_once(self, example_2_1_canonicals):
+        import gc
+
+        from repro.logic.matching import attributed, first_match
+
+        candidates, backtracks = _hom_counters()
+        before = (candidates.value, backtracks.value)
+        with attributed("hom"):
+            found = first_match(
+                (Atom(F, (_x, _z)), Atom(G, (_z, _w))),
+                example_2_1_canonicals[1],
+            )
+        gc.collect()
+        assert found is not None
+        # One candidate per step, nothing undone: flushed exactly once.
+        assert (
+            candidates.value - before[0],
+            backtracks.value - before[1],
+        ) == (2, 0)
