@@ -27,7 +27,9 @@ class Atom:
     False
     """
 
-    __slots__ = ("relation", "args", "_hash")
+    # ``_key`` caches the order key; it stays unset until the first
+    # comparison, so building an atom never pays for it.
+    __slots__ = ("relation", "args", "_hash", "_key")
 
     def __init__(self, relation: RelationSymbol, args: Iterable[Term]):
         args = tuple(args)
@@ -97,16 +99,28 @@ class Atom:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Rebuild through the constructor: the ``_hash`` slot comes from
+        # ``str`` hashing and is only valid under this process's
+        # ``PYTHONHASHSEED``, and the cached order key is not worth
+        # shipping.
+        return (Atom, (self.relation, self.args))
+
     def __lt__(self, other) -> bool:
         if not isinstance(other, Atom):
             return NotImplemented
         return self._sort_key() < other._sort_key()
 
     def _sort_key(self):
-        return (
-            self.relation.name,
-            tuple(_term_sort_key(arg) for arg in self.args),
-        )
+        """``(relation name, term keys)``, built once per atom."""
+        try:
+            return self._key
+        except AttributeError:
+            key = self._key = (
+                self.relation.name,
+                tuple(_term_sort_key(arg) for arg in self.args),
+            )
+            return key
 
     def __repr__(self) -> str:
         inner = ", ".join(str(arg) for arg in self.args)

@@ -222,10 +222,15 @@ class ProvenanceLedger:
         fresh again: re-inserting a deleted source atom yields a new
         source record (its old derivation no longer exists).
         """
+        # Filter before sorting: a continuation chase passes its whole
+        # instance, of which only the edit is new.
+        producers, deleted = self._producers, self._deleted
         fresh = tuple(
-            item
-            for item in sorted(atoms)
-            if item not in self._producers or item in self._deleted
+            sorted(
+                item
+                for item in atoms
+                if item not in producers or item in deleted
+            )
         )
         if not fresh:
             return
@@ -288,8 +293,9 @@ class ProvenanceLedger:
         """
         rewrites = tuple(
             (item, item.rename_values({old: new}))
-            for item in sorted(self._chase_state)
-            if old in item.args
+            for item in sorted(
+                item for item in self._chase_state if old in item.args
+            )
         )
         step = self._append(
             Step(
