@@ -1,14 +1,15 @@
 """Delta sessions: solve once, then re-solve small edits incrementally.
 
 A :class:`DeltaSession` runs one from-scratch semi-naive solve and keeps
-three artifacts alive between edits:
+three artifacts alive between edits, each updated from the edit's diff:
 
-* the **chase state** (source ∪ derived target facts),
+* the **chase state** (source ∪ derived target facts), chased in place;
 * the **provenance ledger** -- a fact-level derivation DAG recording,
-  for every fact, which firing produced it from which parents, and
-* the **clean blocks** -- the owned-atom sets of the Gaifman blocks the
-  last core pass found unfoldable (the skip hint of
-  :func:`~repro.homomorphism.blocks.blockwise_core`).
+  for every fact, which firing produced it from which parents, with an
+  index from each fact to the steps that consumed it;
+* the **live core** (:class:`~repro.homomorphism.blocks.LiveCore`) --
+  the core, the canonical solution's block index, and the clean marks
+  of the blocks the last core pass found unfoldable.
 
 :meth:`apply` then maintains the CWA-solution under a
 :class:`~repro.incremental.delta.SourceDelta` without re-chasing:
@@ -21,8 +22,9 @@ three artifacts alive between edits:
 * **Insertions** seed the semi-naive engine's per-tgd delta joins with
   just the inserted atoms (plus the re-derivation frontier), so trigger
   discovery only inspects matches that can involve the edit.
-* The **core** is re-minimized blockwise, skipping the clean blocks
-  the edit provably could not have touched.
+* The **core** is re-minimized blockwise from the canonical diff the
+  apply's ledger steps describe, skipping the clean blocks the edit
+  provably could not have touched.
 
 The continuation chase is a valid (semi-naive standard) chase of the new
 source from an intermediate state every from-scratch chase can reach, so
@@ -51,27 +53,18 @@ deletions.
 
 from __future__ import annotations
 
-from typing import (
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 from ..chase.result import ChaseOutcome, ChaseStatus
 from ..chase.seminaive import DEFAULT_MAX_STEPS, seminaive_chase
 from ..core.atoms import Atom
 from ..core.errors import ChaseDivergence, ReproError
 from ..core.instance import Instance
-from ..core.terms import Null, NullFactory
+from ..core.terms import NullFactory
 from ..exchange.setting import DataExchangeSetting
 from ..exchange.solve import ExchangeResult, _result_to_payload
-from ..homomorphism.blocks import blockwise_core
-from ..obs import counter, span
+from ..homomorphism.blocks import LiveCore, blockwise_core
+from ..obs import counter, gauge, span
 from ..obs.provenance import ProvenanceLedger, recording
 from .delta import SourceDelta
 
@@ -113,7 +106,7 @@ class DeltaSession:
         self._analyze()
         setting.validate_source(source)
         self.source = source.copy()
-        self._clean: Set[FrozenSet[Atom]] = set()
+        self._live = LiveCore()
         self._factory = NullFactory.above(source.active_domain())
         self._solve_initial()
 
@@ -124,6 +117,18 @@ class DeltaSession:
     def _analyze(self) -> None:
         """Static per-setting facts the apply path consults."""
         self._dependencies = list(self.setting.all_dependencies)
+        # Every (relation name, position) a chase fact can occupy.
+        arities = {}
+        for schema in (self.setting.source_schema, self.setting.target_schema):
+            for relation in schema:
+                arities[relation.name] = max(
+                    relation.arity, arities.get(relation.name, 0)
+                )
+        self._positions = [
+            (name, position)
+            for name, arity in sorted(arities.items())
+            for position in range(arity)
+        ]
         tgds = [d for d in self._dependencies if d.is_tgd]
         self._fo_premises = any(t.premise_atoms is None for t in tgds)
         # Tgds with a frontier-free conclusion atom derive facts sharing
@@ -149,7 +154,7 @@ class DeltaSession:
                     max_steps=self.max_steps,
                     null_factory=self._factory,
                 )
-            return self._finish(outcome, changed=None)
+            return self._finish(outcome, since=None)
 
     @classmethod
     def from_ledger(
@@ -203,7 +208,7 @@ class DeltaSession:
         session._analyze()
         setting.validate_source(source)
         session.source = source.copy()
-        session._clean = set()
+        session._live = LiveCore()
 
         chase = Instance(target.chase_facts())
         if chase.reduct(setting.source_schema) != source:
@@ -211,12 +216,9 @@ class DeltaSession:
                 "the persisted ledger does not describe this source "
                 "instance: its chase state has a different source reduct"
             )
-        session._chase = chase
         session._factory = NullFactory.above(
             value for atom in target.facts() for value in atom.args
         )
-        session._failed = False
-        session._canonical_atoms = frozenset()
         # Verify the recorded state: with a complete, successful ledger
         # this matching pass fires nothing (every trigger is satisfied);
         # a partial ledger is chased to fixpoint and a failing one fails
@@ -228,17 +230,9 @@ class DeltaSession:
                 max_steps=max_steps,
                 null_factory=session._factory,
                 initial_delta=sorted(chase),
+                in_place=True,
             )
-        if outcome.status is not ChaseStatus.SUCCESS or outcome.steps:
-            session._finish(outcome, changed=None)
-            return session
-        session._chase = outcome.instance
-        canonical = chase.reduct(setting.target_schema)
-        session._canonical_atoms = frozenset(canonical)
-        core_instance = blockwise_core(canonical, clean=session._clean)
-        session.result = ExchangeResult(
-            setting, session.source.copy(), canonical, core_instance, 0
-        )
+        session._finish(outcome, since=None)
         return session
 
     # ------------------------------------------------------------------
@@ -257,18 +251,20 @@ class DeltaSession:
             insertions, deletions = delta.effective(self.source)
             if not insertions and not deletions:
                 return self.result
-            new_source = self.source.copy()
+            # The current source is valid, so the edited one is iff the
+            # inserted atoms are.
+            self.setting.validate_source(Instance(insertions))
             for atom in deletions:
-                new_source.discard(atom)
+                self.source.discard(atom)
             for atom in insertions:
-                new_source.add(atom)
-            self.setting.validate_source(new_source)
+                self.source.add(atom)
             if self._needs_full(deletions):
                 counter("incremental.full_fallbacks").inc()
-                return self._full_resolve(new_source)
+                return self._full_resolve()
 
+            mark = len(self.ledger)
             cone: Tuple[Atom, ...] = ()
-            seeds: List[Atom] = []
+            seeds: Set[Atom] = set()
             if deletions:
                 cone = tuple(sorted(self.ledger.downstream_cone(deletions)))
                 removed = [a for a in cone if self._chase.discard(a)]
@@ -277,7 +273,7 @@ class DeltaSession:
                 seeds = self._rederivation_seeds(cone)
             for atom in insertions:
                 self._chase.add(atom)
-            initial = sorted(set(insertions).union(seeds))
+            initial = sorted(seeds.union(insertions))
             with recording(self.ledger):
                 outcome = seminaive_chase(
                     self._chase,
@@ -285,6 +281,7 @@ class DeltaSession:
                     max_steps=self.max_steps,
                     null_factory=self._factory,
                     initial_delta=initial,
+                    in_place=True,
                 )
             counter("incremental.delta_rounds").inc(outcome.rounds)
             if cone:
@@ -292,8 +289,7 @@ class DeltaSession:
                     1 for atom in cone if atom in outcome.instance
                 )
                 counter("incremental.rederived").inc(rederived)
-            self.source = new_source
-            return self._finish(outcome, changed="diff")
+            return self._finish(outcome, since=mark)
 
     def _needs_full(self, deletions: Sequence[Atom]) -> bool:
         if self._failed:
@@ -304,16 +300,14 @@ class DeltaSession:
             return True  # deletion cones through merges are inexact
         return False
 
-    def _full_resolve(self, new_source: Instance) -> ExchangeResult:
-        """From-scratch re-solve; resets ledger, hint, and null factory."""
+    def _full_resolve(self) -> ExchangeResult:
+        """From-scratch re-solve; resets ledger, live core, null factory."""
         with span("incremental.full_resolve"):
             self.ledger.clear()
-            self._clean.clear()
-            self.source = new_source
-            self._factory = NullFactory.above(new_source.active_domain())
+            self._factory = NullFactory.above(self.source.active_domain())
             return self._solve_initial()
 
-    def _rederivation_seeds(self, cone: Sequence[Atom]) -> List[Atom]:
+    def _rederivation_seeds(self, cone: Sequence[Atom]) -> Set[Atom]:
         """Surviving atoms that can participate in re-deriving the cone.
 
         A firing that re-derives a cone member binds its frontier from
@@ -324,21 +318,29 @@ class DeltaSession:
         without frontier variables; for tgds that have one, all atoms of
         their premise relations are seeded whenever the cone touches
         their conclusion relations.
+
+        The survivors come from position-index probes on the cone's
+        values, over the relations that hold facts.
         """
-        values = set()
-        for atom in cone:
-            values.update(atom.args)
-        seeds = [
-            atom
-            for atom in self._chase
-            if any(value in values for value in atom.args)
+        chase = self._chase
+        values = {value for atom in cone for value in atom.args}
+        positions = [
+            (name, position)
+            for name, position in self._positions
+            if chase.count_of(name)
         ]
+        seeds = {
+            atom
+            for value in values
+            for name, position in positions
+            for atom in chase.probe_position(name, position, value)
+        }
         if self._frontier_free:
             cone_relations = {atom.relation for atom in cone}
             for tgd in self._frontier_free:
                 if cone_relations & tgd.conclusion_relations():
                     for relation in tgd.premise_relations():
-                        seeds.extend(self._chase.atoms_of(relation))
+                        seeds.update(chase.atoms_of(relation))
         return seeds
 
     # ------------------------------------------------------------------
@@ -346,30 +348,34 @@ class DeltaSession:
     # ------------------------------------------------------------------
 
     def _finish(
-        self, outcome: ChaseOutcome, *, changed
+        self, outcome: ChaseOutcome, *, since: Optional[int]
     ) -> ExchangeResult:
+        """Core and result for a finished chase.
+
+        ``since`` is the ledger length before a continuation's first
+        step (the live core then follows the steps recorded after it),
+        or None after a from-scratch chase (the live core is rebuilt).
+        """
         if outcome.status is ChaseStatus.DIVERGED:
             self._failed = True  # poisoned: next apply re-solves fully
             raise ChaseDivergence(outcome.steps, outcome.reason)
         self._chase = outcome.instance
         if outcome.status is ChaseStatus.FAILURE:
             self._failed = True
-            self._canonical_atoms = frozenset()
-            self._clean.clear()
+            self._live.reset()
             self.result = ExchangeResult(
                 self.setting, self.source.copy(), None, None, outcome.steps
             )
         else:
             self._failed = False
             canonical = self._chase.reduct(self.setting.target_schema)
-            new_atoms = frozenset(canonical)
-            if changed is None:
-                self._clean.clear()
+            if since is None:
+                self._live.reset()
             else:
-                self._drop_touched(new_atoms - self._canonical_atoms)
+                self._live.stage(*self._canonical_diff(since))
             with recording(self.ledger):
-                core_instance = blockwise_core(canonical, clean=self._clean)
-            self._canonical_atoms = new_atoms
+                core_instance = blockwise_core(canonical, live=self._live)
+            gauge("instance.nulls").set(self._live.nulls())
             self.result = ExchangeResult(
                 self.setting,
                 self.source.copy(),
@@ -379,6 +385,27 @@ class DeltaSession:
             )
         self._store()
         return self.result
+
+    def _canonical_diff(self, since: int) -> Tuple[List[Atom], List[Atom]]:
+        """``(added, removed)``: how the ledger steps recorded after
+        ``since`` changed the canonical solution the live core holds."""
+        touched: Set[Atom] = set()
+        for step in self.ledger.steps_from(since):
+            touched.update(step.added)
+            touched.update(step.dropped)
+            for before, after in step.rewrites:
+                touched.update((before, after))
+        target = self.setting.target_schema
+        added, removed = [], []
+        for atom in sorted(touched):
+            if atom.relation not in target:
+                continue
+            now, before = atom in self._chase, atom in self._live
+            if now and not before:
+                added.append(atom)
+            elif before and not now:
+                removed.append(atom)
+        return added, removed
 
     def _store(self) -> None:
         if self.cache is None:
@@ -392,50 +419,3 @@ class DeltaSession:
             engine="seminaive",
         )
         self.cache.put("solve", key, _result_to_payload(self.result))
-
-    def _drop_touched(self, added: Iterable[Atom]) -> None:
-        """Forget the clean blocks an added atom could be a fold image of.
-
-        A block fold maps only the block's nulls, so an image of an owned
-        atom shares its relation and its constant positions.  Sharing a
-        value is not required: a new atom matching the constant skeleton
-        can enable a fold without sharing a null with the block.  Each
-        owned atom is tested only against the added atoms that agree
-        with it at its first constant position (all added atoms of its
-        relation when it has none).
-        """
-        by_relation = {}
-        by_cell = {}
-        for atom in added:
-            by_relation.setdefault(atom.relation, []).append(atom)
-            for position, value in enumerate(atom.args):
-                by_cell.setdefault((atom.relation, position, value), []).append(
-                    atom
-                )
-        if not by_relation:
-            return
-        self._clean = {
-            owned
-            for owned in self._clean
-            if not any(
-                _may_image(candidate, atom)
-                for atom in owned
-                for candidate in _image_candidates(atom, by_relation, by_cell)
-            )
-        }
-
-
-def _image_candidates(owned: Atom, by_relation, by_cell) -> Sequence[Atom]:
-    """The added atoms that agree with ``owned`` at its first constant."""
-    for position, value in enumerate(owned.args):
-        if not isinstance(value, Null):
-            return by_cell.get((owned.relation, position, value), ())
-    return by_relation.get(owned.relation, ())
-
-
-def _may_image(candidate: Atom, owned: Atom) -> bool:
-    """Does ``candidate`` agree with ``owned`` at every constant position?"""
-    return all(
-        isinstance(owned_arg, Null) or candidate_arg == owned_arg
-        for candidate_arg, owned_arg in zip(candidate.args, owned.args)
-    )

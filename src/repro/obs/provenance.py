@@ -48,6 +48,7 @@ content-addressable and cacheable alongside solve results.
 
 from __future__ import annotations
 
+import heapq
 import json
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -174,6 +175,9 @@ class ProvenanceLedger:
         # The chase instance implied by the steps: like _live but keeps
         # core-folded atoms (folds shrink the core, not the chase).
         self._chase_state: Set[Atom] = set()
+        # fact -> indexes of the tgd steps that used it as a parent and
+        # the egd steps that rewrote it, ascending: the cone's edges.
+        self._consumers: Dict[Atom, List[int]] = {}
         self._merges: int = 0
 
     def clear(self) -> None:
@@ -190,12 +194,20 @@ class ProvenanceLedger:
         self._deleted.clear()
         self._live.clear()
         self._chase_state.clear()
+        self._consumers.clear()
         self._merges = 0
 
     # -- recording (called by the engines) ------------------------------
 
     def _append(self, step: Step) -> Step:
         self._steps.append(step)
+        consumed = (
+            step.parents
+            if step.kind == "tgd"
+            else tuple(before for before, _ in step.rewrites)
+        )
+        for item in consumed:
+            self._consumers.setdefault(item, []).append(step.index)
         return step
 
     def _produce(self, item: Atom, index: int) -> None:
@@ -402,27 +414,50 @@ class ProvenanceLedger:
         """
         return tuple(sorted(self._chase_state))
 
+    def steps_from(self, index: int) -> List[Step]:
+        """The steps recorded from ``index`` on."""
+        return self._steps[index:]
+
     def downstream_cone(self, roots: Iterable[Atom]) -> Set[Atom]:
         """``roots`` plus every fact derived (transitively) from them.
 
         The DRed over-deletion set: a fact joins the cone when some
         recorded firing used a cone member as a parent, or an egd merge
-        rewrote a cone member into it.  One forward pass suffices --
-        every derivation edge points from an earlier step to a later
-        one, even across incremental continuation rounds.
+        rewrote a cone member into it -- a member that joined at an
+        earlier step, because every derivation edge points from an
+        earlier step to a later one, even across incremental
+        continuation rounds.  The steps are visited in index order from
+        a heap fed by the consumer index, so the walk costs what the
+        cone consumes, not the length of the ledger.
         """
-        cone: Set[Atom] = set(roots)
-        if not cone:
-            return cone
-        for step in self._steps:
+        joined: Dict[Atom, int] = dict.fromkeys(roots, -1)
+        queued: Set[int] = set()
+        heap: List[int] = []
+
+        def follow(item: Atom, index: int) -> None:
+            for consumer in self._consumers.get(item, ()):
+                if consumer > index and consumer not in queued:
+                    queued.add(consumer)
+                    heapq.heappush(heap, consumer)
+
+        for item in joined:
+            follow(item, -1)
+        while heap:
+            index = heapq.heappop(heap)
+            step = self._steps[index]
             if step.kind == "tgd":
-                if any(parent in cone for parent in step.parents):
-                    cone.update(step.added)
-            elif step.kind == "egd":
-                for before, after in step.rewrites:
-                    if before in cone:
-                        cone.add(after)
-        return cone
+                reached: Iterable[Atom] = step.added
+            else:
+                reached = [
+                    after
+                    for before, after in step.rewrites
+                    if joined.get(before, index) < index
+                ]
+            for item in reached:
+                if item not in joined:
+                    joined[item] = index
+                    follow(item, index)
+        return set(joined)
 
     def why(self, fact: Atom) -> Optional[Justification]:
         """The justification tree of ``fact``: its derivation from I₀.
@@ -590,8 +625,7 @@ class ProvenanceLedger:
                 f"(expected {SCHEMA!r})"
             )
         for index, body in enumerate(payload.get("steps", ())):
-            step = _step_from_json(index, body)
-            self._steps.append(step)
+            step = self._append(_step_from_json(index, body))
             if step.kind in ("source", "tgd"):
                 for item in step.added:
                     self._produce(item, step.index)

@@ -2,8 +2,8 @@
 
 ``Instance.copy``/``reduct`` clone index buckets instead of re-adding
 atoms, atoms cache their order key, ``canonical()`` short-cuts null-free
-instances, the provenance ledger sorts only fresh facts, and
-``DeltaSession._drop_touched`` probes an index instead of scanning all
+instances, the provenance ledger sorts only fresh facts, and the live core's
+touch test (``blocks._Touch``) probes an index instead of scanning all
 pairs.  None of these may change a result, an iteration order, a
 fingerprint or a ledger record; the tests below pin each against the
 straightforward construction it replaces.
@@ -32,9 +32,11 @@ from repro.core.atoms import _term_sort_key
 from repro.engine import fingerprint_instance, fingerprint_ledger
 from repro.exchange.setting import DataExchangeSetting
 from repro.generators import example_2_1_scaled_source, example_2_1_setting
+from repro.homomorphism.blocks import _Touch
 from repro.incremental import DeltaSession, SourceDelta
 from repro.obs.provenance import ProvenanceLedger, Step
 
+from .delta_oracle import drop_touched_oracle
 from .test_blocks import random_canonicals
 
 E = RelationSymbol("E", 2)
@@ -239,27 +241,11 @@ class TestCanonical:
 # ----------------------------------------------------------------------
 
 
-def drop_touched_oracle(clean, added):
-    """Keep the owned sets no added atom can be a fold image of (all pairs)."""
-
-    def may_image(candidate, owned):
-        return candidate.relation == owned.relation and all(
-            isinstance(owned_arg, Null) or candidate_arg == owned_arg
-            for candidate_arg, owned_arg in zip(candidate.args, owned.args)
-        )
-
-    return {
-        owned
-        for owned in clean
-        if not any(may_image(c, atom) for atom in owned for c in added)
-    }
-
-
 def _touched(clean, added):
-    session = DeltaSession.__new__(DeltaSession)
-    session._clean = set(clean)
-    session._drop_touched(added)
-    return session._clean
+    touch = _Touch()
+    for owned in clean:
+        touch.add(owned, owned)
+    return set(clean) - touch.hit(added)
 
 
 class TestDropTouched:
@@ -409,8 +395,9 @@ def record_merge_oracle(self, via, egd, old, new):
     self._merges += 1
 
 
-def _anchored_stream():
-    """30 delete-two/insert-two edits on 40 rows of the anchored setting."""
+def anchored_scenario():
+    """The anchored setting on 40 rows; each edit deletes two rows and
+    inserts two fresh ones."""
     R = RelationSymbol("R", 2)
     setting = DataExchangeSetting.from_strings(
         Schema.of(R=2),
@@ -419,41 +406,40 @@ def _anchored_stream():
         ["B(z,y) -> exists w . C(y,w)"],
     )
     rng = random.Random(2007)
-    session = DeltaSession(
-        setting,
-        Instance(Atom(R, (Const(f"s{i}"), Const(f"t{i}"))) for i in range(40)),
-    )
-    for edit in range(30):
-        victims = rng.sample(sorted(session.source), 2)
+
+    def edit(index, source):
+        victims = rng.sample(sorted(source), 2)
         fresh = [
-            Atom(R, (Const(f"u{edit}_{k}"), Const(f"v{edit}_{k}")))
+            Atom(R, (Const(f"u{index}_{k}"), Const(f"v{index}_{k}")))
             for k in range(2)
         ]
-        session.apply(
-            SourceDelta(insertions=Instance(fresh), deletions=Instance(victims))
-        )
-    return fingerprint_ledger(session.ledger)
+        return SourceDelta(insertions=Instance(fresh), deletions=Instance(victims))
+
+    source = Instance(
+        Atom(R, (Const(f"s{i}"), Const(f"t{i}"))) for i in range(40)
+    )
+    return setting, source, edit
 
 
-def _example_2_1_stream():
-    """30 single-atom inserts on Example 2.1 (egds: no deletions)."""
+def example_2_1_scenario():
+    """Example 2.1 (egds, so no deletions); each edit inserts one atom."""
     rng = random.Random(2007)
     setting = example_2_1_setting()
-    session = DeltaSession(setting, example_2_1_scaled_source(6, seed=3))
-    pool = sorted({v for a in session.source for v in a.args}, key=lambda c: c.name)
+    source = example_2_1_scaled_source(6, seed=3)
+    pool = sorted({v for a in source for v in a.args}, key=lambda c: c.name)
     M, N = setting.source_schema["M"], setting.source_schema["N"]
-    for edit in range(30):
+
+    def edit(index, _source):
         relation = rng.choice([M, N])
-        pick = [rng.choice(pool), Const(f"x{edit}")]
+        pick = [rng.choice(pool), Const(f"x{index}")]
         rng.shuffle(pick)
-        session.apply(
-            SourceDelta(insertions=Instance([Atom(relation, tuple(pick))]))
-        )
-    return fingerprint_ledger(session.ledger)
+        return SourceDelta(insertions=Instance([Atom(relation, tuple(pick))]))
+
+    return setting, source, edit
 
 
-def _merging_stream():
-    """30 inserts whose firings each clash with an egd, so every edit
+def merging_scenario():
+    """Inserts whose firings each clash with an egd, so every edit
     records a merge rewriting two or three facts (Example 2.1's edits
     never fire a tgd whose conclusion clashes)."""
     M = RelationSymbol("M", 2)
@@ -464,15 +450,61 @@ def _merging_stream():
         ["F(x,y) & F(x,z) -> y = z"],
     )
     rng = random.Random(2007)
-    session = DeltaSession(
-        setting,
-        Instance(Atom(M, (Const(f"a{i % 4}"), Const(f"b{i}"))) for i in range(12)),
+
+    def edit(index, _source):
+        item = Atom(M, (Const(f"a{rng.randrange(6)}"), Const(f"y{index}")))
+        return SourceDelta(insertions=Instance([item]))
+
+    source = Instance(
+        Atom(M, (Const(f"a{i % 4}"), Const(f"b{i}"))) for i in range(12)
     )
-    for edit in range(30):
-        item = Atom(M, (Const(f"a{rng.randrange(6)}"), Const(f"y{edit}")))
-        session.apply(SourceDelta(insertions=Instance([item])))
+    return setting, source, edit
+
+
+def run_stream(scenario, edits=30):
+    """A session after ``edits`` edits of ``scenario``."""
+    setting, source, edit = scenario()
+    session = DeltaSession(setting, source)
+    for index in range(edits):
+        session.apply(edit(index, session.source))
+    return session
+
+
+def _anchored_stream():
+    """30 delete-two/insert-two edits on 40 rows of the anchored setting."""
+    return fingerprint_ledger(run_stream(anchored_scenario).ledger)
+
+
+def _example_2_1_stream():
+    """30 single-atom inserts on Example 2.1."""
+    return fingerprint_ledger(run_stream(example_2_1_scenario).ledger)
+
+
+def _merging_stream():
+    """30 inserts on the clashing-egd setting, each recording a merge."""
+    session = run_stream(merging_scenario)
     assert session.ledger._merges >= 30
     return fingerprint_ledger(session.ledger)
+
+
+def _join_chase():
+    """A from-scratch chase whose tgd joins two atoms, so one seed fact
+    completes to several triggers (the streams above never do)."""
+    from repro.chase.seminaive import seminaive_chase
+    from repro.dependencies.base import parse_dependency
+    from repro.obs.provenance import recording
+
+    E = RelationSymbol("E", 2)
+    rng = random.Random(2007)
+    graph = Instance(
+        Atom(E, (Const(f"n{rng.randrange(12)}"), Const(f"n{rng.randrange(12)}")))
+        for _ in range(30)
+    )
+    with recording() as ledger:
+        seminaive_chase(
+            graph, [parse_dependency("E(x,y) & E(y,z) -> exists w . P(x,w) & Q(w,z)")]
+        )
+    return fingerprint_ledger(ledger)
 
 
 class TestLedgerParity:
@@ -503,3 +535,35 @@ class TestLedgerParity:
         rewritten = stream()
         original_primitives()
         assert stream() == rewritten
+
+
+class TestLedgerAcrossHashSeeds:
+    """The chase fires in binding order, egds merge their least
+    violation first and the live core folds onto the least match, so an
+    edit stream's ledger -- null numbering, merges and retract records
+    included -- does not depend on ``PYTHONHASHSEED``."""
+
+    def test_edit_stream_ledgers_agree_under_hash_seeds_0_and_99(self):
+        import tests
+
+        root = tests.__file__.rsplit("/tests/", 1)[0]
+        script = (
+            f"sys.path.insert(0, {root!r})\n"
+            "from tests.test_edit_cost import (\n"
+            "    _anchored_stream, _example_2_1_stream, _merging_stream,\n"
+            "    _join_chase)\n"
+            "for stream in (_anchored_stream, _example_2_1_stream, "
+            "_merging_stream, _join_chase):\n"
+            "    print(stream())\n"
+        )
+        seed_0 = _run_under_hash_seed("0", script).split()
+        seed_99 = _run_under_hash_seed("99", script).split()
+        assert len(seed_0) == 4
+        assert seed_0 == seed_99
+        here = [
+            _anchored_stream(),
+            _example_2_1_stream(),
+            _merging_stream(),
+            _join_chase(),
+        ]
+        assert [digest.decode() for digest in seed_0] == here
