@@ -130,3 +130,29 @@ def test_seminaive_agrees_with_standard_on_random_inputs(source):
     if semi.successful:
         assert satisfies_all(semi.instance, DEPS)
         assert hom_equivalent(semi.instance, full.instance)
+
+
+def test_egd_violations_are_listed_per_batch_not_per_merge(monkeypatch):
+    """A chase with many merges lists each egd's violations a few
+    times, not once per merge, and still reaches the standard result."""
+    from repro.dependencies.egd import Egd
+
+    deps = parse_dependencies(
+        ["M(x, y) -> exists z . F(x, z) & G(z, y)", "F(x, y) & F(x, z) -> y = z"]
+    )
+    source = parse_instance(
+        ", ".join(f"M('k{i}', 'v{j}')" for i in range(5) for j in range(6))
+    )
+    listed = []
+    original = Egd.violations
+
+    def counting(self, instance):
+        listed.append(1)
+        return original(self, instance)
+
+    monkeypatch.setattr(Egd, "violations", counting)
+    outcome = seminaive_chase(source, deps)
+    assert outcome.steps - 30 == 25  # 30 firings, then 5 x 5 merges
+    # One scan per chase round plus one per batch; one per merge is 25+.
+    assert len(listed) <= 5
+    assert hom_equivalent(outcome.instance, standard_chase(source, deps).instance)
